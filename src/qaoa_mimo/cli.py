@@ -110,12 +110,10 @@ def _resolve_out(config, out_override):
 
 def _resolve_max_qubits(config):
     env = os.environ.get(MAX_QUBITS_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"{MAX_QUBITS_ENV} must be an integer, got {env!r}") from exc
-    return _optional(config, "max_qubits", int, DEFAULT_QUBIT_CAP, minimum=1)
+    if env is None:
+        return _optional(config, "max_qubits", int, DEFAULT_QUBIT_CAP, minimum=1)
+    # the environment variable obeys the same rule as the config key
+    return _require({MAX_QUBITS_ENV: env}, MAX_QUBITS_ENV, int, minimum=1)
 
 
 def _resolve_path(config, key):
@@ -131,14 +129,11 @@ def cmd_gen_instances(config, seed, out):
     count = _require(config, "count", int, minimum=1)
     noise_scale = _optional(config, "noise_scale", float, 1.0, minimum=0.0)
     n_t = config.get("n_t")
-    if isinstance(n_t, list):
-        choices = [int(v) for v in n_t]
-    elif n_t is not None:
-        choices = [int(n_t)]
-    else:
+    if n_t is None:
         raise ConfigError("config is missing required key 'n_t'")
-    if any(c < 1 for c in choices):
-        raise ConfigError("all n_t values must be >= 1")
+    choices = [int(v) for v in (n_t if isinstance(n_t, list) else [n_t])]
+    if not choices or any(c < 1 for c in choices):
+        raise ConfigError("n_t must be an int >= 1 or a non-empty list of them")
     n_r = _optional(config, "n_r", int, None, minimum=1)
 
     seeds = substream(seed, STREAM_INSTANCE_SEEDS).integers(0, 2**63, size=count)
@@ -184,9 +179,18 @@ def cmd_train_init(config, seed, out):
     return EXIT_OK
 
 
-def _run_detection(inst, theta0, method, bounds, budget, tol, top_k, max_qubits):
+def _error_row(inst, method, exc):
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "instance_seed": inst.seed,
+        "n_t": inst.n_t,
+        "method": method,
+        "error": f"{type(exc).__name__}: {exc}",
+    }
+
+
+def _run_detection(inst, model, oracle, theta0, method, bounds, budget, tol, top_k, max_qubits):
     """Refine angles on one instance and assemble its report record."""
-    model = build_ising(inst)
 
     def objective(theta):
         return simulator_expectation(model, QaoaParams.from_vector(theta), max_qubits)
@@ -198,7 +202,7 @@ def _run_detection(inst, theta0, method, bounds, budget, tol, top_k, max_qubits)
     order = np.argsort(-probs, kind="stable")[:top_k]
     argmax_index = int(np.argmax(probs))
     decoded = index_to_spins(argmax_index, model.n)
-    x_best, ml_value = brute_force_detect(inst)
+    x_best, ml_value = oracle
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -227,104 +231,81 @@ def _run_detection(inst, theta0, method, bounds, budget, tol, top_k, max_qubits)
     return report, trace
 
 
-def _detection_settings(config):
+def _detection_runs(config, seed, methods):
+    """Check a detection config, then return its instances and a generator
+    of one (report, trace) per instance and method, in file order.
+
+    Each instance's Ising model and brute-force oracle are built once and
+    shared by its methods.  A failed run yields an error row and trace None.
+    """
+    instances = read_instances(_resolve_path(config, "instances"))
     p = _require(config, "p", int, minimum=1)
     budget = _optional(config, "budget", int, 150, minimum=1)
     tol = _optional(config, "tol", float, 1e-6)
     top_k = _optional(config, "top_k", int, 8, minimum=1)
-    return p, budget, tol, top_k, _resolve_bounds(config, p)
-
-
-def _random_init_points(seed, count, bounds):
-    """One uniform draw over the angle box per instance, in file order."""
+    bounds = _resolve_bounds(config, p)
+    max_qubits = _resolve_max_qubits(config)
+    # random starts: one uniform draw over the angle box per instance, in file order
     gen = substream(seed, STREAM_RANDOM_INIT)
     low, span = bounds[:, 0], bounds[:, 1] - bounds[:, 0]
-    return [low + gen.random(bounds.shape[0]) * span for _ in range(count)]
-
-
-def cmd_detect(config, seed, out):
-    instances = read_instances(_resolve_path(config, "instances"))
-    p, budget, tol, top_k, bounds = _detection_settings(config)
-    max_qubits = _resolve_max_qubits(config)
-
-    if config.get("init"):
+    starts = {RANDOM_INIT: [low + gen.random(bounds.shape[0]) * span for _ in instances]}
+    if TRAINED_INIT in methods:
         init = read_init_params(_resolve_path(config, "init"))
         if init.p != p:
             raise ConfigError(f"init file has p={init.p} but config requests p={p}")
-        starts = [init.to_vector()] * len(instances)
-        method = TRAINED_INIT
-    else:
-        starts = _random_init_points(seed, len(instances), bounds)
-        method = RANDOM_INIT
+        starts[TRAINED_INIT] = [init.to_vector()] * len(instances)
 
+    def runs():
+        for k, inst in enumerate(instances):
+            try:
+                model = build_ising(inst)
+                oracle = brute_force_detect(inst)
+            except Exception as exc:
+                for method in methods:
+                    yield _error_row(inst, method, exc), None
+                continue
+            for method in methods:
+                try:
+                    run = _run_detection(
+                        inst, model, oracle, starts[method][k], method,
+                        bounds, budget, tol, top_k, max_qubits,
+                    )
+                except Exception as exc:
+                    run = _error_row(inst, method, exc), None
+                yield run
+
+    return instances, runs()
+
+
+def cmd_detect(config, seed, out):
+    method = TRAINED_INIT if config.get("init") else RANDOM_INIT
+    instances, runs = _detection_runs(config, seed, (method,))
     failures = 0
     with open(out, "w") as fh:
-        for inst, theta0 in zip(instances, starts):
-            try:
-                report, _ = _run_detection(inst, theta0, method, bounds, budget, tol, top_k, max_qubits)
-            except Exception as exc:
-                failures += 1
-                report = {
-                    "schema_version": SCHEMA_VERSION,
-                    "instance_seed": inst.seed,
-                    "n_t": inst.n_t,
-                    "method": method,
-                    "error": f"{type(exc).__name__}: {exc}",
-                }
+        for report, _ in runs:
+            failures += "error" in report
             dump_line(report, fh)
-    done = len(instances) - failures
-    print(f"detected {done}/{len(instances)} instances ({method}) -> {out}")
+    print(f"detected {len(instances) - failures}/{len(instances)} instances ({method}) -> {out}")
     return EXIT_PARTIAL if failures else EXIT_OK
 
 
 def cmd_compare(config, seed, out):
     """Paired trained-init vs random-init runs on the same instance set."""
-    instances = read_instances(_resolve_path(config, "instances"))
-    init = read_init_params(_resolve_path(config, "init"))
-    p, budget, tol, top_k, bounds = _detection_settings(config)
-    max_qubits = _resolve_max_qubits(config)
-    if init.p != p:
-        raise ConfigError(f"init file has p={init.p} but config requests p={p}")
-
+    instances, runs = _detection_runs(config, seed, (TRAINED_INIT, RANDOM_INIT))
     os.makedirs(out, exist_ok=True)
-    trained_start = init.to_vector()
-    random_starts = _random_init_points(seed, len(instances), bounds)
-
-    rows = []
     reports = []
-    results = {TRAINED_INIT: [], RANDOM_INIT: []}
-    failures = 0
-    for inst, random_start in zip(instances, random_starts):
-        for method, theta0 in ((TRAINED_INIT, trained_start), (RANDOM_INIT, random_start)):
-            try:
-                report, trace = _run_detection(
-                    inst, theta0, method, bounds, budget, tol, top_k, max_qubits
-                )
-            except Exception as exc:
-                failures += 1
-                reports.append(
-                    {
-                        "schema_version": SCHEMA_VERSION,
-                        "instance_seed": inst.seed,
-                        "method": method,
-                        "error": f"{type(exc).__name__}: {exc}",
-                    }
-                )
-                continue
+    with open(os.path.join(out, "reports.jsonl"), "w") as fh, \
+            open(os.path.join(out, "curves.csv"), "w") as curves:
+        curves.write("iteration,cost,method,instance\n")
+        for report, trace in runs:
             reports.append(report)
-            results[method].append(report)
-            for iteration, (_, value) in enumerate(trace.evaluations):
-                rows.append((iteration, value, method, inst.seed))
-
-    with open(os.path.join(out, "reports.jsonl"), "w") as fh:
-        for report in reports:
             dump_line(report, fh)
-    with open(os.path.join(out, "curves.csv"), "w") as fh:
-        fh.write("iteration,cost,method,instance\n")
-        for iteration, value, method, inst_seed in rows:
-            fh.write(f"{iteration},{format_float(value)},{method},{inst_seed}\n")
+            for iteration, (_, value) in enumerate(trace.evaluations if trace else ()):
+                curves.write(
+                    f"{iteration},{format_float(value)},{report['method']},{report['instance_seed']}\n"
+                )
 
-    summary = _compare_summary(instances, results, failures)
+    summary = _compare_summary(reports)
     with open(os.path.join(out, "summary.json"), "w") as fh:
         fh.write(dumps(summary))
         fh.write("\n")
@@ -332,33 +313,31 @@ def cmd_compare(config, seed, out):
         f"compared {len(instances)} instances -> {out} "
         f"(trained better on {summary['fraction_trained_better']})"
     )
-    return EXIT_PARTIAL if failures else EXIT_OK
+    return EXIT_PARTIAL if summary["n_failures"] else EXIT_OK
 
 
-def _compare_summary(instances, results, failures):
-    trained = {r["instance_seed"]: r for r in results[TRAINED_INIT]}
-    randoms = {r["instance_seed"]: r for r in results[RANDOM_INIT]}
-    paired = [s for s in trained if s in randoms]
-    better = sum(1 for s in paired if trained[s]["best_value"] < randoms[s]["best_value"])
+def _compare_summary(reports):
+    """Aggregate compare's reports, which come in (trained, random) pairs per instance."""
+    pairs = list(zip(reports[0::2], reports[1::2]))
+    paired = [(t, r) for t, r in pairs if "error" not in t and "error" not in r]
+    better = sum(1 for t, r in paired if t["best_value"] < r["best_value"])
     summary = {
         "schema_version": SCHEMA_VERSION,
-        "n_instances": len(instances),
+        "n_instances": len(pairs),
         "n_paired": len(paired),
-        "n_failures": failures,
+        "n_failures": sum("error" in r for r in reports),
         "fraction_trained_better": better / len(paired) if paired else 0.0,
-        "median_final_cost": {},
-        "mean_solution_probability": {},
-        "success_rate": {},
     }
-    for method, rows in results.items():
-        if rows:
-            summary["median_final_cost"][method] = float(
-                np.median([r["best_value"] for r in rows])
-            )
-            summary["mean_solution_probability"][method] = float(
-                np.mean([r["solution_probability"] for r in rows])
-            )
-            summary["success_rate"][method] = float(np.mean([r["success"] for r in rows]))
+    for key, field, stat in (
+        ("median_final_cost", "best_value", np.median),
+        ("mean_solution_probability", "solution_probability", np.mean),
+        ("success_rate", "success", np.mean),
+    ):
+        summary[key] = {}
+        for method in (TRAINED_INIT, RANDOM_INIT):
+            values = [r[field] for r in reports if r["method"] == method and "error" not in r]
+            if values:
+                summary[key][method] = float(stat(values))
     return summary
 
 

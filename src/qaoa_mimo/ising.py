@@ -19,18 +19,14 @@ import numpy as np
 class IsingModel:
     """Quadratic spin energy derived from one detection instance.
 
-    ``couplings`` holds one (i, j, weight) triple per unordered pair with
-    i < j (0-based, weight = 2 * gram[i, j]; zero weights are retained so
-    the interaction graph is always complete).  ``fields`` is -2 * matched.
-    ``offset`` restores the dropped constant: energy(x) + offset equals
-    the ML objective at x.
+    The coupling of pair i < j is 2 * gram[i, j] and the field on spin k
+    is -2 * matched[k].  ``offset`` restores the dropped constant:
+    energy(x) + offset equals the ML objective at x.
     """
 
     n: int
     gram: np.ndarray
     matched: np.ndarray
-    couplings: tuple
-    fields: np.ndarray
     offset: float
 
 
@@ -39,20 +35,8 @@ def build_ising(inst):
     h, y = inst.h, inst.y
     gram = h.T @ h
     gram = 0.5 * (gram + gram.T)  # exact symmetry; BLAS output can be off at 1 ulp
-    matched = h.T @ y
-    n = inst.n_t
-    couplings = tuple(
-        (i, j, 2.0 * float(gram[i, j])) for i in range(n) for j in range(i + 1, n)
-    )
     offset = float(y @ y + np.trace(gram))
-    return IsingModel(
-        n=n,
-        gram=gram,
-        matched=matched,
-        couplings=couplings,
-        fields=-2.0 * matched,
-        offset=offset,
-    )
+    return IsingModel(n=inst.n_t, gram=gram, matched=h.T @ y, offset=offset)
 
 
 def ising_energy(model, x):

@@ -68,19 +68,22 @@ def hamiltonian_diagonal(model, max_qubits=DEFAULT_QUBIT_CAP):
     """Diagonal of the problem Hamiltonian over all 2^n basis states.
 
     Entry m is the classical spin energy of the symbol vector encoded by
-    index m, built directly from the model's couplings and fields via the
-    bit identities s_k = 1 - 2*bit_k and s_i s_j = 1 - 2*(bit_i ^ bit_j).
+    index m, built from the fields -2*matched[k] and couplings 2*gram[i, j]
+    via the bit identities s_k = 1 - 2*bit_k and s_i s_j = 1 - 2*(bit_i ^ bit_j).
     """
     _check_cap(model.n, max_qubits)
     dim = 1 << model.n
     idx = np.arange(dim, dtype=np.uint64)
     diag = np.zeros(dim)
     one = np.uint64(1)
-    for k, fz in enumerate(model.fields):
+    for k, fz in enumerate(-2.0 * model.matched):
         diag += fz * (1.0 - 2.0 * ((idx >> np.uint64(k)) & one))
-    for i, j, w in model.couplings:
-        if w != 0.0:
-            diag += w * (1.0 - 2.0 * (((idx >> np.uint64(i)) ^ (idx >> np.uint64(j))) & one))
+    gram = model.gram.tolist()  # Python floats: per-pair numpy indexing dominates at small n
+    for i in range(model.n):
+        for j in range(i + 1, model.n):
+            w = 2.0 * gram[i][j]
+            if w != 0.0:
+                diag += w * (1.0 - 2.0 * (((idx >> np.uint64(i)) ^ (idx >> np.uint64(j))) & one))
     return diag
 
 

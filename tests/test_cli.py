@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -78,6 +79,12 @@ class TestGenInstances:
     def test_bad_count_is_config_error(self, tmp_path):
         config = write_config(tmp_path, "gen.json", count=0, n_t=2, seed=1)
         assert cli.main(["gen-instances", "--config", config, "--out", "x.jsonl"]) == 1
+
+    def test_empty_n_t_list_is_config_error(self, tmp_path):
+        out = tmp_path / "x.jsonl"
+        config = write_config(tmp_path, "gen.json", count=2, n_t=[], seed=1)
+        assert cli.main(["gen-instances", "--config", config, "--out", str(out)]) == 1
+        assert not out.exists()
 
 
 class TestTrainInit:
@@ -231,13 +238,24 @@ class TestDetect:
         assert all("error" in r for r in reports)
         assert "exceeds the simulator cap" in reports[0]["error"]
 
+    @pytest.mark.parametrize("cap", ["0", "-1", "three"])
+    def test_bad_qubit_cap_env_var_is_config_error(self, tmp_path, monkeypatch, cap):
+        inst = make_identity_instance([1, -1], seed=5)
+        instances = tmp_path / "inst.jsonl"
+        write_instances(instances, [inst])
+        monkeypatch.setenv(cli.MAX_QUBITS_ENV, cap)
+        out = tmp_path / "reports.jsonl"
+        config = write_config(tmp_path, "detect.json", instances=str(instances), p=1, seed=4)
+        assert cli.main(["detect", "--config", config, "--out", str(out)]) == 1
+        assert not out.exists()
+
 
 class TestCompare:
-    def setup_run(self, tmp_path, count=3):
+    def setup_run(self, tmp_path, count=3, n_t=3):
         instances_path = tmp_path / "inst.jsonl"
         cli.main([
             "gen-instances",
-            "--config", write_config(tmp_path, "g.json", count=count, n_t=3, seed=61),
+            "--config", write_config(tmp_path, "g.json", count=count, n_t=n_t, seed=61),
             "--out", str(instances_path),
         ])
         train_path = tmp_path / "train.jsonl"
@@ -280,6 +298,53 @@ class TestCompare:
         assert curves[0] == "iteration,cost,method,instance"
         # every report row contributes its evaluation count
         assert len(curves) - 1 == sum(r["n_evaluations"] for r in reports)
+
+    def test_repeated_seed_pairs_by_position(self, tmp_path):
+        config = self.setup_run(tmp_path, count=3)
+        instances_path = tmp_path / "inst.jsonl"
+        instances = read_instances(instances_path)
+        instances[2] = dataclasses.replace(instances[2], seed=instances[1].seed)
+        write_instances(instances_path, instances)
+        out = tmp_path / "cmp"
+        assert cli.main(["compare", "--config", config, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["n_instances"] == 3
+        assert summary["n_paired"] == 3
+
+    def test_qubit_cap_fails_every_run(self, tmp_path, monkeypatch):
+        count = 2
+        config = self.setup_run(tmp_path, count=count, n_t=4)
+        monkeypatch.setenv(cli.MAX_QUBITS_ENV, "3")
+        out = tmp_path / "cmp"
+        assert cli.main(["compare", "--config", config, "--out", str(out)]) == 3
+        reports = read_jsonl(out / "reports.jsonl")
+        assert len(reports) == 2 * count
+        for r in reports:
+            assert set(r) == {"schema_version", "instance_seed", "n_t", "method", "error"}
+            assert r["n_t"] == 4
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["n_failures"] == 2 * count
+        assert summary["n_paired"] == 0
+        assert (out / "curves.csv").read_text() == "iteration,cost,method,instance\n"
+
+    def test_model_and_oracle_built_once_per_instance(self, tmp_path, monkeypatch):
+        count = 3
+        config = self.setup_run(tmp_path, count=count)
+        calls = {"build_ising": 0, "brute_force_detect": 0}
+
+        def counted(name):
+            original = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(cli, name, counted(name))
+        assert cli.main(["compare", "--config", config, "--out", str(tmp_path / "cmp")]) == 0
+        assert calls == {"build_ising": count, "brute_force_detect": count}
 
     def test_rerun_byte_identical(self, tmp_path):
         config = self.setup_run(tmp_path, count=2)

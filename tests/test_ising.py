@@ -44,8 +44,6 @@ class TestBuildIsing:
         model = build_ising(identity_instance([1.0, 1.0]))
         assert np.allclose(model.gram, np.eye(2), atol=1e-15)
         assert np.allclose(model.matched, [1.0, 1.0], atol=1e-15)
-        assert model.couplings == ((0, 1, 0.0),)
-        assert np.allclose(model.fields, [-2.0, -2.0], atol=1e-15)
         assert model.offset == pytest.approx(4.0, abs=1e-12)
 
     def test_offset_identity_on_identity_channel(self):
@@ -57,11 +55,6 @@ class TestBuildIsing:
     def test_gram_is_exactly_symmetric(self):
         model = build_ising(generate_instance(5, 7, 1.0, seed=3))
         assert np.array_equal(model.gram, model.gram.T)
-
-    def test_one_coupling_per_pair(self):
-        model = build_ising(generate_instance(5, 5, 1.0, seed=4))
-        pairs = [(i, j) for i, j, _ in model.couplings]
-        assert pairs == [(i, j) for i in range(5) for j in range(i + 1, 5)]
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_offset_identity_exhaustive(self, n):
@@ -80,8 +73,6 @@ class TestIsingEnergy:
             n=2,
             gram=np.zeros((2, 2)),
             matched=np.array([1.0, 1.0]),
-            couplings=((0, 1, 0.0),),
-            fields=np.array([-2.0, -2.0]),
             offset=0.0,
         )
         assert ising_energy(model, [1, 1]) == pytest.approx(-4.0, abs=1e-12)

@@ -22,8 +22,6 @@ def field_only_model(fields):
         n=n,
         gram=np.zeros((n, n)),
         matched=-0.5 * fields,
-        couplings=tuple((i, j, 0.0) for i in range(n) for j in range(i + 1, n)),
-        fields=fields,
         offset=0.0,
     )
 
