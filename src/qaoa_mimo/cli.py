@@ -74,12 +74,19 @@ def _load_config(path):
     return config
 
 
+def _strict_int(value):
+    """int(value), refusing bools and floats with a fractional part."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _require(config, key, kind, minimum=None):
     if key not in config:
         raise ConfigError(f"config is missing required key {key!r}")
     value = config[key]
     try:
-        value = kind(value)
+        value = (_strict_int if kind is int else kind)(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config key {key!r} has invalid value {config[key]!r}") from exc
     if minimum is not None and value < minimum:
@@ -95,7 +102,7 @@ def _optional(config, key, kind, default, minimum=None):
 
 def _resolve_seed(config, seed_override):
     if seed_override is not None:
-        return int(seed_override)
+        return _require({"--seed": seed_override}, "--seed", int, minimum=0)
     if "seed" not in config or config["seed"] is None:
         raise ConfigError("a seed is required (config key 'seed' or --seed)")
     return _require(config, "seed", int, minimum=0)
@@ -131,8 +138,11 @@ def cmd_gen_instances(config, seed, out):
     n_t = config.get("n_t")
     if n_t is None:
         raise ConfigError("config is missing required key 'n_t'")
-    choices = [int(v) for v in (n_t if isinstance(n_t, list) else [n_t])]
-    if not choices or any(c < 1 for c in choices):
+    choices = [
+        _require({"n_t": v}, "n_t", int, minimum=1)
+        for v in (n_t if isinstance(n_t, list) else [n_t])
+    ]
+    if not choices:
         raise ConfigError("n_t must be an int >= 1 or a non-empty list of them")
     n_r = _optional(config, "n_r", int, None, minimum=1)
 
@@ -444,7 +454,10 @@ def main(argv=None):
     try:
         config = _load_config(args.config)
         if args.mode == "selftest":
-            seed = int(args.seed) if args.seed is not None else _optional(config, "seed", int, 0)
+            if args.seed is not None:
+                seed = _resolve_seed(config, args.seed)
+            else:
+                seed = _optional(config, "seed", int, 0, minimum=0)
             return cmd_selftest(seed)
         seed = _resolve_seed(config, args.seed)
         out = _resolve_out(config, args.out)

@@ -10,7 +10,7 @@ k, bit value 1 means spin -1, and printed bitstrings put antenna 1 in
 the leftmost character.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,12 +22,17 @@ class IsingModel:
     The coupling of pair i < j is 2 * gram[i, j] and the field on spin k
     is -2 * matched[k].  ``offset`` restores the dropped constant:
     energy(x) + offset equals the ML objective at x.
+
+    ``diagonal`` holds the read-only Hamiltonian diagonal once the
+    simulator has built it; equality and repr ignore it.  The model's
+    arrays must not be changed after that first build.
     """
 
     n: int
     gram: np.ndarray
     matched: np.ndarray
     offset: float
+    diagonal: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
 
 def build_ising(inst):

@@ -5,7 +5,8 @@ layer is an elementwise phase exp(-i gamma * diag) followed by the mixer
 exp(-i beta * sum_j X_j), applied as n single-qubit Rx(2 beta) sweeps
 over the amplitude array.  Expectations are computed exactly from the
 final probabilities (infinite-shot limit); finite-shot sampling exists
-only for readout-style reporting.
+only for readout-style reporting.  A model's diagonal is built the first
+time it is simulated and kept with the model for every later call.
 """
 
 from dataclasses import dataclass, field
@@ -87,6 +88,16 @@ def hamiltonian_diagonal(model, max_qubits=DEFAULT_QUBIT_CAP):
     return diag
 
 
+def _model_diagonal(model, max_qubits):
+    """The model's diagonal: built on first use, then kept with the model."""
+    _check_cap(model.n, max_qubits)
+    if model.diagonal is None:
+        diag = hamiltonian_diagonal(model, max_qubits)
+        diag.flags.writeable = False
+        object.__setattr__(model, "diagonal", diag)
+    return model.diagonal
+
+
 def _evolve(diag, n, params):
     dim = 1 << n
     amps = np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128)
@@ -105,13 +116,13 @@ def _evolve(diag, n, params):
 
 def qaoa_state(model, params, max_qubits=DEFAULT_QUBIT_CAP):
     """Statevector after p alternating phase/mixer layers on |+>^n."""
-    diag = hamiltonian_diagonal(model, max_qubits)
+    diag = _model_diagonal(model, max_qubits)
     return Statevector(n=model.n, amplitudes=_evolve(diag, model.n, params))
 
 
 def expectation(model, params, max_qubits=DEFAULT_QUBIT_CAP):
     """Exact <H_C> in the variational state (no shot noise)."""
-    diag = hamiltonian_diagonal(model, max_qubits)
+    diag = _model_diagonal(model, max_qubits)
     amps = _evolve(diag, model.n, params)
     probs = amps.real**2 + amps.imag**2
     return float(probs @ diag)

@@ -86,6 +86,35 @@ class TestGenInstances:
         assert cli.main(["gen-instances", "--config", config, "--out", str(out)]) == 1
         assert not out.exists()
 
+    def test_negative_seed_flag_is_config_error(self, tmp_path):
+        out = tmp_path / "x.jsonl"
+        config = write_config(tmp_path, "gen.json", count=2, n_t=2)
+        argv = ["gen-instances", "--config", config, "--seed", "-3", "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"count": 2.9, "n_t": 3},
+            {"count": 2, "n_t": 2.7},
+            {"count": 2, "n_t": True},
+            {"count": 2, "n_t": "abc"},
+        ],
+        ids=["fractional-count", "fractional-n_t", "bool-n_t", "string-n_t"],
+    )
+    def test_non_integer_value_is_config_error(self, tmp_path, fields):
+        out = tmp_path / "x.jsonl"
+        config = write_config(tmp_path, "gen.json", seed=1, **fields)
+        assert cli.main(["gen-instances", "--config", config, "--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_integral_float_values_accepted(self, tmp_path):
+        out = tmp_path / "x.jsonl"
+        config = write_config(tmp_path, "gen.json", count=2.0, n_t=[2.0, 3], seed=1)
+        assert cli.main(["gen-instances", "--config", config, "--out", str(out)]) == 0
+        assert len(read_instances(out)) == 2
+
 
 class TestTrainInit:
     def make_instances(self, tmp_path):
@@ -361,6 +390,12 @@ class TestSelftestAndErrors:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.count("PASS") >= 6
+
+    def test_selftest_negative_seed_is_config_error(self, tmp_path, capsys):
+        assert cli.main(["selftest", "--seed", "-3"]) == 1
+        config = write_config(tmp_path, "self.json", seed=-3)
+        assert cli.main(["selftest", "--config", config]) == 1
+        assert "PASS" not in capsys.readouterr().out
 
     def test_missing_config_file(self, tmp_path):
         missing = str(tmp_path / "none.json")

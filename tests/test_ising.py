@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qaoa_mimo.instances import ChannelInstance, generate_instance, ml_objective
 from qaoa_mimo.ising import (
@@ -133,6 +135,19 @@ class TestEncoding:
             assert bitstring_to_index(index_to_bitstring(m, n)) == m
             seen.add(bits)
         assert len(seen) == 1 << n  # bijection
+
+    @given(st.integers(1, 20).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))))
+    def test_round_trips_up_to_twenty_antennas(self, case):
+        n, m = case
+        x = index_to_spins(m, n)
+        bits = index_to_bitstring(m, n)
+        assert x.shape == (n,) and len(bits) == n
+        assert spins_to_index(x) == m
+        assert spins_to_bits(x) == bits
+        assert np.array_equal(bits_to_spins(bits), x)
+        assert spins_to_index(bits_to_spins(bits)) == m
+        assert bitstring_to_index(bits) == m
 
     def test_antenna_one_is_leftmost(self):
         # index 1 has bit 0 set, i.e. antenna 1 carries symbol -1

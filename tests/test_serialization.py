@@ -1,7 +1,10 @@
 import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qaoa_mimo import jsonio
 from qaoa_mimo.rng import random_spins, standard_normals, substream
@@ -13,6 +16,12 @@ class TestCanonicalJson:
         values = list(gen.standard_normal(500) * 10.0 ** gen.integers(-12, 12, 500))
         text = jsonio.dumps(values)
         assert json.loads(text) == values
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_every_finite_float_round_trips_bit_exactly(self, value):
+        parsed = jsonio.loads(jsonio.dumps(value))
+        assert isinstance(parsed, float)
+        assert struct.pack("<d", parsed) == struct.pack("<d", value)
 
     def test_keys_sorted(self):
         assert jsonio.dumps({"b": 1, "a": 2}) == '{"a":2,"b":1}'

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,53 @@ class TestDiagonal:
             hamiltonian_diagonal(model)
         with pytest.raises(ResourceLimitError):
             hamiltonian_diagonal(field_only_model(np.ones(5)), max_qubits=4)
+
+
+class TestDiagonalReuse:
+    def test_built_once_per_model(self, diagonal_builds):
+        model = build_ising(generate_instance(4, 4, 1.0, seed=3))
+        gen = np.random.default_rng(0)
+        for _ in range(5):
+            expectation(model, random_params(gen, 2))
+        qaoa_state(model, random_params(gen, 2))
+        assert diagonal_builds == [model]
+
+    def test_stored_diagonal_is_read_only(self):
+        model = build_ising(generate_instance(3, 3, 1.0, seed=4))
+        expectation(model, QaoaParams(p=1, gammas=[0.2], betas=[0.3]))
+        assert not model.diagonal.flags.writeable
+        with pytest.raises(ValueError):
+            model.diagonal[0] = 0.0
+        assert np.array_equal(model.diagonal, hamiltonian_diagonal(model))
+
+    def test_cap_checked_on_every_call(self):
+        model = build_ising(generate_instance(5, 5, 1.0, seed=5))
+        params = QaoaParams(p=1, gammas=[0.2], betas=[0.3])
+        expectation(model, params)
+        assert model.diagonal is not None
+        with pytest.raises(ResourceLimitError):
+            expectation(model, params, max_qubits=4)
+        with pytest.raises(ResourceLimitError):
+            qaoa_state(model, params, max_qubits=4)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_reused_diagonal_gives_same_bits(self, n):
+        gen = np.random.default_rng(100 + n)
+        inst = generate_instance(n, n, 1.0, seed=n)
+        reused = build_ising(inst)
+        for p in (1, 2, 3):
+            for _ in range(2):
+                params = random_params(gen, p)
+                assert expectation(reused, params) == expectation(build_ising(inst), params)
+
+    def test_equality_and_repr_ignore_diagonal(self):
+        model = build_ising(generate_instance(3, 3, 1.0, seed=6))
+        fresh = dataclasses.replace(model)
+        text = repr(model)
+        expectation(model, QaoaParams(p=1, gammas=[0.2], betas=[0.3]))
+        assert fresh.diagonal is None and model.diagonal is not None
+        assert model == fresh
+        assert repr(model) == text == repr(fresh)
 
 
 class TestQaoaState:

@@ -96,6 +96,12 @@ class TestTrainInit:
         assert np.array_equal(a.to_vector(), b.to_vector())
         assert a.training_meta == b.training_meta
 
+    def test_builds_one_diagonal_per_instance(self, diagonal_builds):
+        insts = small_instances(4, seed=13)
+        train_init(insts, p=1, t_rounds=3, seed=1, n_init=2)
+        assert len(diagonal_builds) == len(insts)
+        assert len({id(model) for model in diagonal_builds}) == len(insts)
+
     def test_reported_objective_matches_angles(self):
         insts = small_instances(5, seed=13)
         models = [build_ising(i) for i in insts]
