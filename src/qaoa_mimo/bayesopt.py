@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial.distance import cdist
-from scipy.stats import qmc
 
 from .errors import ObjectiveEvaluationError
 from .rng import STREAM_BAYESOPT, substream
@@ -209,6 +208,10 @@ def bayes_opt(objective, bounds, t_rounds, kappa=2.0, n_init=5, seed=0, kernel=N
     kernel = kernel if kernel is not None else SquaredExponentialKernel()
     low, span = bounds[:, 0], bounds[:, 1] - bounds[:, 0]
     d = low.size
+
+    # imported here, not at the top: scipy.stats is slow to import and
+    # only this function needs it
+    from scipy.stats import qmc
 
     gen = substream(seed, STREAM_BAYESOPT)
     halton = qmc.Halton(d=d, scramble=True, seed=int(gen.integers(2**63)))

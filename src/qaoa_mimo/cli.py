@@ -11,6 +11,7 @@ digits so reruns are byte-identical.
 """
 
 import argparse
+import math
 import os
 import sys
 
@@ -75,18 +76,36 @@ def _load_config(path):
 
 
 def _strict_int(value):
-    """int(value), refusing bools and floats with a fractional part."""
+    """int(value), refusing bools, floats with a fractional part and values beyond int64."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{value!r} is not an integer")
-    return int(value)
+    value = int(value)
+    if not -(1 << 63) <= value < 1 << 63:
+        raise ValueError(f"{value} is outside the 64-bit integer range")
+    return value
+
+
+def _strict_float(value):
+    """float(value), refusing bools and non-finite values."""
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{value!r} is not finite")
+    return value
+
+
+# a kind missing here is a KeyError: a bug in the caller, not a config error
+_CONVERTERS = {int: _strict_int, float: _strict_float}
 
 
 def _require(config, key, kind, minimum=None):
     if key not in config:
         raise ConfigError(f"config is missing required key {key!r}")
     value = config[key]
+    convert = _CONVERTERS[kind]
     try:
-        value = (_strict_int if kind is int else kind)(value)
+        value = convert(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config key {key!r} has invalid value {config[key]!r}") from exc
     if minimum is not None and value < minimum:

@@ -2,8 +2,11 @@
 
 The problem Hamiltonian is diagonal in the computational basis, so one
 layer is an elementwise phase exp(-i gamma * diag) followed by the mixer
-exp(-i beta * sum_j X_j), applied as n single-qubit Rx(2 beta) sweeps
-over the amplitude array.  Expectations are computed exactly from the
+exp(-i beta * sum_j X_j) = Rx(2 beta)^{(x) n}.  The mixer splits the n
+qubits into near-equal blocks of at most MIXER_BLOCK qubits and applies
+each block's Rx(2 beta)^{(x) w} as a dense 2^w x 2^w matrix product, so
+it makes ceil(n / MIXER_BLOCK) passes over the amplitudes instead of n
+single-qubit sweeps.  Expectations are computed exactly from the
 final probabilities (infinite-shot limit); finite-shot sampling exists
 only for readout-style reporting.  A model's diagonal is built the first
 time it is simulated and kept with the model for every later call.
@@ -19,6 +22,17 @@ from .rng import STREAM_SAMPLE, substream
 
 # 2^20 complex doubles is 16 MB; anything larger needs an explicit override.
 DEFAULT_QUBIT_CAP = 20
+
+# Widest mixer block: a 32 x 32 unitary per pass over the amplitudes.
+MIXER_BLOCK = 5
+
+# _FLIPS[i, j] = popcount(i ^ j), the number of qubits on which basis states
+# i and j differ; its top-left 2^w x 2^w corner serves a block of w qubits.
+_FLIPS = np.array([bin(m).count("1") for m in range(1 << MIXER_BLOCK)])[
+    np.bitwise_xor.outer(np.arange(1 << MIXER_BLOCK), np.arange(1 << MIXER_BLOCK))
+]
+# (-i)^d for d flips
+_FLIP_PHASE = np.array([1, -1j, -1, 1j])[np.arange(MIXER_BLOCK + 1) % 4]
 
 
 @dataclass(frozen=True)
@@ -98,19 +112,36 @@ def _model_diagonal(model, max_qubits):
     return model.diagonal
 
 
+def _mixer_block(w, beta):
+    """Rx(2 beta)^{(x) w} as a 2^w x 2^w matrix.
+
+    Entry (i, j) is cos(beta)^(w-d) * (-i sin(beta))^d with d = popcount(i ^ j).
+    """
+    d = np.arange(w + 1)
+    factors = np.cos(beta) ** (w - d) * np.sin(beta) ** d * _FLIP_PHASE[: w + 1]
+    return factors[_FLIPS[: 1 << w, : 1 << w]]
+
+
+def _block_widths(n):
+    """ceil(n / MIXER_BLOCK) near-equal widths summing to n."""
+    blocks = -(-n // MIXER_BLOCK)
+    return [(n + i) // blocks for i in range(blocks)]
+
+
 def _evolve(diag, n, params):
     dim = 1 << n
     amps = np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128)
+    spare = np.empty_like(amps)  # every layer reuses these two buffers
+    widths = _block_widths(n)
     for gamma, beta in zip(params.gammas, params.betas):
-        amps *= np.exp(-1j * gamma * diag)
-        c = np.cos(beta)
-        s = -1j * np.sin(beta)
-        for k in range(n):
-            view = amps.reshape(-1, 2, 1 << k)
-            a0 = view[:, 0, :].copy()
-            a1 = view[:, 1, :]
-            view[:, 0, :] = c * a0 + s * a1
-            view[:, 1, :] = c * a1 + s * a0
+        amps *= np.exp(np.multiply(-1j * gamma, diag, out=spare), out=spare)
+        for w in widths:
+            # spare = mixer @ amps.reshape(-1, 2^w).T moves this block (the low
+            # w bits) to the top bits, so after all blocks every qubit is
+            # back in place.
+            mixer = _mixer_block(w, beta)
+            np.matmul(mixer, amps.reshape(-1, 1 << w).T, out=spare.reshape(1 << w, -1))
+            amps, spare = spare, amps
     return amps
 
 
@@ -125,7 +156,9 @@ def expectation(model, params, max_qubits=DEFAULT_QUBIT_CAP):
     diag = _model_diagonal(model, max_qubits)
     amps = _evolve(diag, model.n, params)
     probs = amps.real**2 + amps.imag**2
-    return float(probs @ diag)
+    # not probs @ diag: OpenBLAS splits a long dot product across threads,
+    # which makes its roundoff depend on the thread count
+    return float(np.sum(probs * diag))
 
 
 def sample(state, shots, seed):

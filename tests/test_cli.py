@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -100,8 +103,9 @@ class TestGenInstances:
             {"count": 2, "n_t": 2.7},
             {"count": 2, "n_t": True},
             {"count": 2, "n_t": "abc"},
+            {"count": 1e30, "n_t": 2},
         ],
-        ids=["fractional-count", "fractional-n_t", "bool-n_t", "string-n_t"],
+        ids=["fractional-count", "fractional-n_t", "bool-n_t", "string-n_t", "huge-count"],
     )
     def test_non_integer_value_is_config_error(self, tmp_path, fields):
         out = tmp_path / "x.jsonl"
@@ -114,6 +118,33 @@ class TestGenInstances:
         config = write_config(tmp_path, "gen.json", count=2.0, n_t=[2.0, 3], seed=1)
         assert cli.main(["gen-instances", "--config", config, "--out", str(out)]) == 0
         assert len(read_instances(out)) == 2
+
+
+@pytest.mark.parametrize("value", [True, float("nan"), float("inf")], ids=["bool", "nan", "inf"])
+@pytest.mark.parametrize(
+    "mode, key",
+    [
+        ("gen-instances", "noise_scale"),
+        ("train-init", "kappa"),
+        ("train-init", "gamma_max"),
+        ("train-init", "beta_max"),
+        ("detect", "tol"),
+    ],
+)
+def test_bool_or_non_finite_float_is_config_error(tmp_path, mode, key, value):
+    instances = tmp_path / "inst.jsonl"
+    write_instances(instances, [make_identity_instance([1, -1], seed=5)])
+    fields = {"count": 2, "n_t": 2} if mode == "gen-instances" else {"instances": str(instances)}
+    config = write_config(tmp_path, "c.json", p=1, t_rounds=1, seed=1, **fields, **{key: value})
+    out = tmp_path / "out"
+    assert cli.main([mode, "--config", config, "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_unsupported_kind_is_not_a_config_error():
+    # a kind with no converter is a bug in the caller; it must not pass as a value check
+    with pytest.raises(KeyError):
+        cli._require({"name": "abc"}, "name", str)
 
 
 class TestTrainInit:
@@ -385,6 +416,14 @@ class TestCompare:
 
 
 class TestSelftestAndErrors:
+    def test_cli_import_leaves_scipy_stats_unloaded(self):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import qaoa_mimo.cli; "
+            "sys.exit('scipy.stats' in sys.modules)"
+        )
+        assert subprocess.run([sys.executable, "-c", code], timeout=60).returncode == 0
+
     def test_selftest_passes(self, capsys):
         assert cli.main(["selftest", "--seed", "3"]) == 0
         out = capsys.readouterr().out

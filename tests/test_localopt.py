@@ -2,9 +2,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qaoa_mimo.errors import ObjectiveEvaluationError
-from qaoa_mimo.localopt import minimize
+from qaoa_mimo.localopt import PENALTY_WEIGHT, minimize
 
 
 def quadratic(x):
@@ -85,6 +87,23 @@ class TestMinimize:
             minimize(flaky, [0.0, 0.0], budget=50)
         assert len(err.value.history.evaluations) == 4
         assert err.value.history.reason == "objective failure"
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        budget=st.integers(1, 40),
+        x0=st.tuples(st.floats(-2.0, 3.0), st.floats(-2.0, 3.0)),
+    )
+    def test_budget_and_penalty_hold_from_any_start(self, budget, x0):
+        # the box is [0, 1]^2, so the starts fall inside it and outside it
+        low, high = np.zeros(2), np.ones(2)
+        trace = minimize(quadratic, list(x0), bounds=np.stack([low, high], axis=1), budget=budget)
+        assert 1 <= len(trace.evaluations) <= budget
+        if not trace.converged and len(trace.evaluations) == budget:
+            assert trace.reason == "budget"
+        for x, value in trace.evaluations:
+            excess = np.maximum(low - x, 0.0) + np.maximum(x - high, 0.0)
+            expected = quadratic(x) + PENALTY_WEIGHT * float(excess @ excess)
+            assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):

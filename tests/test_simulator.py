@@ -1,15 +1,22 @@
 import dataclasses
+import functools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qaoa_mimo
 from qaoa_mimo.errors import ResourceLimitError
 from qaoa_mimo.instances import generate_instance
 from qaoa_mimo.ising import IsingModel, build_ising, index_to_spins, ising_energy, spins_to_index
 from qaoa_mimo.simulator import (
+    MIXER_BLOCK,
     QaoaParams,
     Statevector,
     expectation,
+    _mixer_block,
     hamiltonian_diagonal,
     qaoa_state,
     sample,
@@ -32,6 +39,23 @@ def random_params(gen, p):
     return QaoaParams(
         p=p, gammas=gen.uniform(0, np.pi / 2, p), betas=gen.uniform(0, np.pi, p)
     )
+
+
+def reference_evolve(diag, n, params):
+    """The circuit with the mixer as n single-qubit Rx(2 beta) sweeps."""
+    dim = 1 << n
+    amps = np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128)
+    for gamma, beta in zip(params.gammas, params.betas):
+        amps *= np.exp(-1j * gamma * diag)
+        c = np.cos(beta)
+        s = -1j * np.sin(beta)
+        for k in range(n):
+            view = amps.reshape(-1, 2, 1 << k)
+            a0 = view[:, 0, :].copy()
+            a1 = view[:, 1, :]
+            view[:, 0, :] = c * a0 + s * a1
+            view[:, 1, :] = c * a1 + s * a0
+    return amps
 
 
 class TestQaoaParams:
@@ -120,6 +144,57 @@ class TestDiagonalReuse:
         assert fresh.diagonal is None and model.diagonal is not None
         assert model == fresh
         assert repr(model) == text == repr(fresh)
+
+
+class TestBlockedMixer:
+    # The blocked mixer sums in another order than the sweeps, so the
+    # tolerances are fixed in advance from float64 roundoff.
+    AMPLITUDE_ATOL = 1e-13
+    EXPECTATION_RTOL = 1e-12
+
+    # covers n = MIXER_BLOCK, MIXER_BLOCK + 1 and 2 * MIXER_BLOCK + 1
+    @pytest.mark.parametrize("n", range(1, max(15, 2 * MIXER_BLOCK + 2)))
+    def test_matches_single_qubit_sweeps(self, n):
+        gen = np.random.default_rng(200 + n)
+        model = build_ising(generate_instance(n, n, 1.0, seed=n))
+        diag = hamiltonian_diagonal(model)
+        for p in (1, 2, 3):
+            params = random_params(gen, p)
+            ref = reference_evolve(diag, n, params)
+            got = qaoa_state(model, params).amplitudes
+            assert np.max(np.abs(got - ref)) <= self.AMPLITUDE_ATOL
+            ref_value = float((ref.real**2 + ref.imag**2) @ diag)
+            assert abs(expectation(model, params) - ref_value) <= (
+                self.EXPECTATION_RTOL * max(1.0, abs(ref_value))
+            )
+
+    def test_expectation_bits_do_not_depend_on_blas_threads(self):
+        src = os.path.dirname(os.path.dirname(qaoa_mimo.__file__))
+        code = (
+            f"import sys; sys.path.insert(0, {src!r})\n"
+            "from qaoa_mimo.instances import generate_instance\n"
+            "from qaoa_mimo.ising import build_ising\n"
+            "from qaoa_mimo.simulator import QaoaParams, expectation\n"
+            "model = build_ising(generate_instance(16, 16, 1.0, seed=16))\n"
+            "print(repr(expectation(model, QaoaParams(3, [0.1, 0.2, 0.3], [0.9, 0.5, 0.2]))))\n"
+        )
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-c", code], env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+                capture_output=True, text=True, timeout=60, check=True,
+            ).stdout
+            for threads in ("1", "2")
+        }
+        assert len(outputs) == 1
+
+    @pytest.mark.parametrize("w", range(1, MIXER_BLOCK + 1))
+    def test_block_unitary_is_kron_of_rx(self, w):
+        for beta in (0.0, 0.3, -1.1, np.pi / 2, 2.9):
+            rx = np.array(
+                [[np.cos(beta), -1j * np.sin(beta)], [-1j * np.sin(beta), np.cos(beta)]]
+            )
+            expected = functools.reduce(np.kron, [rx] * w)
+            assert np.allclose(_mixer_block(w, beta), expected, rtol=0, atol=1e-15)
 
 
 class TestQaoaState:
