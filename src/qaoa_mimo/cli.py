@@ -52,6 +52,11 @@ EXIT_PARTIAL = 3
 
 MAX_QUBITS_ENV = "QAOA_MIMO_MAX_QUBITS"
 
+# gen-instances refuses a file of more generated values than this (channel,
+# symbol, noise and received entries, summed over instances): 2^26 values
+# are about 1.3 GB of JSON.  Checked before anything is allocated.
+MAX_GENERATED_VALUES = 1 << 26
+
 TRAINED_INIT = "trained-init"
 RANDOM_INIT = "random-init"
 
@@ -164,6 +169,13 @@ def cmd_gen_instances(config, seed, out):
     if not choices:
         raise ConfigError("n_t must be an int >= 1 or a non-empty list of them")
     n_r = _optional(config, "n_r", int, None, minimum=1)
+    # worst case over the n_t choices: h, x_true, noise and y of one instance
+    per_instance = max(nt * nr + nt + 2 * nr for nt in choices for nr in [n_r or nt])
+    if count * per_instance > MAX_GENERATED_VALUES:
+        raise ConfigError(
+            f"{count} instances of up to {per_instance} values each exceed "
+            f"the cap of {MAX_GENERATED_VALUES} generated values"
+        )
 
     seeds = substream(seed, STREAM_INSTANCE_SEEDS).integers(0, 2**63, size=count)
     picks = substream(seed, STREAM_ANTENNA_CHOICE).integers(0, len(choices), size=count)
@@ -218,6 +230,16 @@ def _error_row(inst, method, exc):
     }
 
 
+def _top_indices(probs, k):
+    """The first k entries of np.argsort(-probs, kind="stable"): the k largest
+    probabilities, largest first, ties by index, without sorting all of probs."""
+    if k >= probs.size:
+        return np.argsort(-probs, kind="stable")
+    kth = np.partition(probs, probs.size - k)[probs.size - k]
+    candidates = np.flatnonzero(probs >= kth)  # ascending, so ties keep index order
+    return candidates[np.argsort(-probs[candidates], kind="stable")[:k]]
+
+
 def _run_detection(inst, model, oracle, theta0, method, bounds, budget, tol, top_k, max_qubits):
     """Refine angles on one instance and assemble its report record."""
 
@@ -228,7 +250,7 @@ def _run_detection(inst, model, oracle, theta0, method, bounds, budget, tol, top
     state = qaoa_state(model, QaoaParams.from_vector(trace.best_point), max_qubits)
     probs = state.amplitudes.real**2 + state.amplitudes.imag**2
 
-    order = np.argsort(-probs, kind="stable")[:top_k]
+    order = _top_indices(probs, top_k)
     argmax_index = int(np.argmax(probs))
     decoded = index_to_spins(argmax_index, model.n)
     x_best, ml_value = oracle

@@ -2,14 +2,26 @@
 
 The problem Hamiltonian is diagonal in the computational basis, so one
 layer is an elementwise phase exp(-i gamma * diag) followed by the mixer
-exp(-i beta * sum_j X_j) = Rx(2 beta)^{(x) n}.  The mixer splits the n
-qubits into near-equal blocks of at most MIXER_BLOCK qubits and applies
-each block's Rx(2 beta)^{(x) w} as a dense 2^w x 2^w matrix product, so
-it makes ceil(n / MIXER_BLOCK) passes over the amplitudes instead of n
-single-qubit sweeps.  Expectations are computed exactly from the
-final probabilities (infinite-shot limit); finite-shot sampling exists
-only for readout-style reporting.  A model's diagonal is built the first
-time it is simulated and kept with the model for every later call.
+exp(-i beta * sum_j X_j) = Rx(2 beta)^{(x) n}.
+
+The diagonal is built by doubling over qubits.  With the qubits above k
+in their bit-0 state, flipping qubit k changes the energy by a cost that
+depends only on the qubits below it, so entries 2^k .. 2^(k+1) - 1 are
+entries 0 .. 2^k - 1 plus a table of those costs, itself doubled over the
+lower qubits: O(2^n) additions in all.  Each phase layer seeds the same
+recursion with np.exp over the lowest PHASE_BLOCK qubits and doubles the
+rest with products of phase factors, so it takes O(n^2) complex
+exponentials instead of 2^n.
+
+The mixer splits the n qubits into near-equal blocks of at most
+MIXER_BLOCK qubits and applies each block's Rx(2 beta)^{(x) w} as a
+dense 2^w x 2^w matrix product, so it makes ceil(n / MIXER_BLOCK)
+passes over the amplitudes instead of n single-qubit sweeps.
+
+Expectations are computed exactly from the final probabilities
+(infinite-shot limit); finite-shot sampling exists only for
+readout-style reporting.  A model's diagonal is built the first time it
+is simulated and kept with the model for every later call.
 """
 
 from dataclasses import dataclass, field
@@ -25,6 +37,11 @@ DEFAULT_QUBIT_CAP = 20
 
 # Widest mixer block: a 32 x 32 unitary per pass over the amplitudes.
 MIXER_BLOCK = 5
+
+# Lowest qubits whose phase is one np.exp per amplitude; each higher qubit
+# is doubled from them (see _phase).  Doubling from 10 qubits is faster
+# than np.exp over all amplitudes from n = 12 on.
+PHASE_BLOCK = 10
 
 # _FLIPS[i, j] = popcount(i ^ j), the number of qubits on which basis states
 # i and j differ; its top-left 2^w x 2^w corner serves a block of w qubits.
@@ -79,26 +96,47 @@ def _check_cap(n, max_qubits):
         )
 
 
+def _flip_costs(model):
+    """The doubling's inputs, from fields f_k = -2 matched[k] and couplings
+    J_kj = 2 gram[k, j]: the energy of the all-(+1) state, the change
+    -2 (f_k + sum_j J_kj) from flipping spin k alone there, and 4 J, since
+    flipping spin j as well adds 4 J_kj to spin k's flip cost."""
+    coupling = 2.0 * model.gram
+    np.fill_diagonal(coupling, 0.0)
+    fields = -2.0 * model.matched
+    pulls = coupling.sum(axis=1)
+    return 0.5 * pulls.sum() + fields.sum(), -2.0 * (fields + pulls), 4.0 * coupling
+
+
+def _double(table, k, start, steps, op):
+    """Fill table[2^k : 2^(k+1)] from table[:2^k] by doubling over qubit k.
+
+    Entry m of the new half is table[m] op start op steps[j] for every set
+    bit j < k of m.  With op = np.add, start = the flip cost of spin k and
+    steps = its row of 4 * couplings this is the energy with spin k
+    flipped; with np.multiply and their phase factors it is the phase.
+    """
+    half = table[1 << k : 2 << k]
+    half[0] = start
+    for j in range(k):
+        op(half[: 1 << j], steps[j], out=half[1 << j : 2 << j])
+    op(half, table[: 1 << k], out=half)
+
+
 def hamiltonian_diagonal(model, max_qubits=DEFAULT_QUBIT_CAP):
     """Diagonal of the problem Hamiltonian over all 2^n basis states.
 
     Entry m is the classical spin energy of the symbol vector encoded by
-    index m, built from the fields -2*matched[k] and couplings 2*gram[i, j]
-    via the bit identities s_k = 1 - 2*bit_k and s_i s_j = 1 - 2*(bit_i ^ bit_j).
+    index m (bit k set means spin k is -1).  Entry 0 is the all-(+1)
+    energy; each qubit k doubles the filled part by adding spin k's flip
+    cost, so the build takes O(2^n) additions.
     """
     _check_cap(model.n, max_qubits)
-    dim = 1 << model.n
-    idx = np.arange(dim, dtype=np.uint64)
-    diag = np.zeros(dim)
-    one = np.uint64(1)
-    for k, fz in enumerate(-2.0 * model.matched):
-        diag += fz * (1.0 - 2.0 * ((idx >> np.uint64(k)) & one))
-    gram = model.gram.tolist()  # Python floats: per-pair numpy indexing dominates at small n
-    for i in range(model.n):
-        for j in range(i + 1, model.n):
-            w = 2.0 * gram[i][j]
-            if w != 0.0:
-                diag += w * (1.0 - 2.0 * (((idx >> np.uint64(i)) ^ (idx >> np.uint64(j))) & one))
+    energy, flips, steps = _flip_costs(model)
+    diag = np.empty(1 << model.n)
+    diag[0] = energy
+    for k in range(model.n):
+        _double(diag, k, flips[k], steps[k], np.add)
     return diag
 
 
@@ -128,13 +166,35 @@ def _block_widths(n):
     return [(n + i) // blocks for i in range(blocks)]
 
 
-def _evolve(diag, n, params):
-    dim = 1 << n
-    amps = np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128)
+def _phase(model, diag, gamma, out, scale=None):
+    """exp(-i gamma diag) (times ``scale``) into ``out``.
+
+    np.exp covers the lowest PHASE_BLOCK qubits; each higher qubit doubles
+    the filled part with the phase factors of its flip costs, so the layer
+    takes O(n^2) complex exponentials instead of 2^n.
+    """
+    seed = out[: 1 << min(model.n, PHASE_BLOCK)]
+    np.exp(np.multiply(-1j * gamma, diag[: seed.size], out=seed), out=seed)
+    if scale is not None:
+        seed *= scale
+    if model.n > PHASE_BLOCK:
+        _, flips, steps = _flip_costs(model)
+        flips, steps = np.exp(-1j * gamma * flips), np.exp(-1j * gamma * steps)
+        for k in range(PHASE_BLOCK, model.n):
+            _double(out, k, flips[k], steps[k], np.multiply)
+    return out
+
+
+def _evolve(model, diag, params):
+    dim = 1 << model.n
+    amps = np.empty(dim, dtype=np.complex128)
     spare = np.empty_like(amps)  # every layer reuses these two buffers
-    widths = _block_widths(n)
-    for gamma, beta in zip(params.gammas, params.betas):
-        amps *= np.exp(np.multiply(-1j * gamma, diag, out=spare), out=spare)
+    widths = _block_widths(model.n)
+    for layer, (gamma, beta) in enumerate(zip(params.gammas, params.betas)):
+        if layer == 0:  # the initial state |+>^n is 1/sqrt(dim) everywhere
+            _phase(model, diag, gamma, amps, scale=1.0 / np.sqrt(dim))
+        else:
+            amps *= _phase(model, diag, gamma, spare)
         for w in widths:
             # spare = mixer @ amps.reshape(-1, 2^w).T moves this block (the low
             # w bits) to the top bits, so after all blocks every qubit is
@@ -148,13 +208,13 @@ def _evolve(diag, n, params):
 def qaoa_state(model, params, max_qubits=DEFAULT_QUBIT_CAP):
     """Statevector after p alternating phase/mixer layers on |+>^n."""
     diag = _model_diagonal(model, max_qubits)
-    return Statevector(n=model.n, amplitudes=_evolve(diag, model.n, params))
+    return Statevector(n=model.n, amplitudes=_evolve(model, diag, params))
 
 
 def expectation(model, params, max_qubits=DEFAULT_QUBIT_CAP):
     """Exact <H_C> in the variational state (no shot noise)."""
     diag = _model_diagonal(model, max_qubits)
-    amps = _evolve(diag, model.n, params)
+    amps = _evolve(model, diag, params)
     probs = amps.real**2 + amps.imag**2
     # not probs @ diag: OpenBLAS splits a long dot product across threads,
     # which makes its roundoff depend on the thread count

@@ -113,11 +113,48 @@ class TestGenInstances:
         assert cli.main(["gen-instances", "--config", config, "--out", str(out)]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "fields", [{"count": 1e18, "n_t": 2}, {"count": 2, "n_t": 2, "n_r": 1e18}],
+        ids=["count", "n_r"],
+    )
+    def test_oversized_file_is_config_error(self, tmp_path, capsys, fields):
+        out = tmp_path / "x.jsonl"
+        config = write_config(tmp_path, "gen.json", seed=1, **fields)
+        assert cli.main(["gen-instances", "--config", config, "--out", str(out)]) == 1
+        assert "generated values" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_r", [None, 3])
+    def test_generated_value_cap_is_inclusive(self, tmp_path, monkeypatch, n_r):
+        # two instances; the worst n_t choice (3) has 9 + 3 + 6 values with n_r = 3
+        total = 2 * 18
+        config = write_config(tmp_path, "gen.json", count=2, n_t=[2, 3], n_r=n_r, seed=1)
+        out = tmp_path / "x.jsonl"
+        monkeypatch.setattr(cli, "MAX_GENERATED_VALUES", total - 1)
+        assert cli.main(["gen-instances", "--config", config, "--out", str(out)]) == 1
+        monkeypatch.setattr(cli, "MAX_GENERATED_VALUES", total)
+        assert cli.main(["gen-instances", "--config", config, "--out", str(out)]) == 0
+
     def test_integral_float_values_accepted(self, tmp_path):
         out = tmp_path / "x.jsonl"
         config = write_config(tmp_path, "gen.json", count=2.0, n_t=[2.0, 3], seed=1)
         assert cli.main(["gen-instances", "--config", config, "--out", str(out)]) == 0
         assert len(read_instances(out)) == 2
+
+
+class TestTopIndices:
+    @pytest.mark.parametrize("kind", ["random", "all-tied", "rounded"])
+    @pytest.mark.parametrize("n", [1, 3, 10])
+    def test_matches_stable_argsort(self, kind, n):
+        gen = np.random.default_rng(n)
+        probs = {
+            "random": gen.random(1 << n),
+            "all-tied": np.full(1 << n, 1.0 / (1 << n)),
+            "rounded": np.round(gen.random(1 << n), 1),
+        }[kind]
+        for k in (1, 2, 8, (1 << n) - 1, 1 << n, (1 << n) + 5):
+            expected = np.argsort(-probs, kind="stable")[:k]
+            assert np.array_equal(cli._top_indices(probs, k), expected)
 
 
 @pytest.mark.parametrize("value", [True, float("nan"), float("inf")], ids=["bool", "nan", "inf"])

@@ -3,6 +3,7 @@ import functools
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,10 +14,12 @@ from qaoa_mimo.instances import generate_instance
 from qaoa_mimo.ising import IsingModel, build_ising, index_to_spins, ising_energy, spins_to_index
 from qaoa_mimo.simulator import (
     MIXER_BLOCK,
+    PHASE_BLOCK,
     QaoaParams,
     Statevector,
     expectation,
     _mixer_block,
+    _phase,
     hamiltonian_diagonal,
     qaoa_state,
     sample,
@@ -39,6 +42,20 @@ def random_params(gen, p):
     return QaoaParams(
         p=p, gammas=gen.uniform(0, np.pi / 2, p), betas=gen.uniform(0, np.pi, p)
     )
+
+
+def reference_diagonal(model):
+    """The diagonal as one full pass per field and per coupling."""
+    idx = np.arange(1 << model.n, dtype=np.uint64)
+    diag = np.zeros(1 << model.n)
+    one = np.uint64(1)
+    for k, fz in enumerate(-2.0 * model.matched):
+        diag += fz * (1.0 - 2.0 * ((idx >> np.uint64(k)) & one))
+    for i in range(model.n):
+        for j in range(i + 1, model.n):
+            w = 2.0 * model.gram[i, j]
+            diag += w * (1.0 - 2.0 * (((idx >> np.uint64(i)) ^ (idx >> np.uint64(j))) & one))
+    return diag
 
 
 def reference_evolve(diag, n, params):
@@ -90,6 +107,14 @@ class TestDiagonal:
             assert diag[m] == pytest.approx(
                 ising_energy(model, index_to_spins(m, n)), abs=1e-12
             )
+
+    # the doubling sums each entry in another order than the per-pair passes
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_matches_pairwise_reference(self, n):
+        model = build_ising(generate_instance(n, n, 1.0, seed=60 + n))
+        ref = reference_diagonal(model)
+        diff = np.max(np.abs(hamiltonian_diagonal(model) - ref))
+        assert diff <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
     def test_cap(self):
         model = field_only_model(np.ones(21))
@@ -195,6 +220,47 @@ class TestBlockedMixer:
             )
             expected = functools.reduce(np.kron, [rx] * w)
             assert np.allclose(_mixer_block(w, beta), expected, rtol=0, atol=1e-15)
+
+
+class TestPhase:
+    GAMMAS = (0.05, -0.4, np.pi / 8, 1.0, np.pi / 2)
+
+    @pytest.mark.parametrize("n", range(PHASE_BLOCK - 1, PHASE_BLOCK + 4))
+    def test_matches_exp_of_diagonal(self, n):
+        model = build_ising(generate_instance(n, n, 1.0, seed=80 + n))
+        diag = hamiltonian_diagonal(model)
+        out = np.empty(1 << n, dtype=np.complex128)
+        for gamma in self.GAMMAS:
+            ref = np.exp(-1j * gamma * diag)
+            got = _phase(model, diag, gamma, out)
+            if n <= PHASE_BLOCK:
+                assert np.array_equal(got, ref)
+            else:
+                # each angle is a sum of at most n + 1 rounded terms
+                tol = 4 * n * np.finfo(float).eps * max(1.0, abs(gamma) * np.max(np.abs(diag)))
+                assert np.max(np.abs(got - ref)) <= tol
+
+    @pytest.mark.parametrize("n", [3, PHASE_BLOCK])
+    def test_scaled_first_layer_is_uniform_state_times_phase(self, n):
+        model = build_ising(generate_instance(n, n, 1.0, seed=n))
+        diag = hamiltonian_diagonal(model)
+        dim = 1 << n
+        got = _phase(model, diag, 0.3, np.empty(dim, dtype=np.complex128), scale=1 / np.sqrt(dim))
+        ref = np.full(dim, 1 / np.sqrt(dim), dtype=np.complex128) * np.exp(-0.3j * diag)
+        assert np.array_equal(got, ref)
+
+    def test_cached_expectation_peaks_below_three_statevectors(self):
+        n = 16
+        model = build_ising(generate_instance(n, n, 1.0, seed=n))
+        params = QaoaParams(p=3, gammas=[0.1, 0.2, 0.3], betas=[0.9, 0.5, 0.2])
+        expectation(model, params)  # builds and keeps the diagonal
+        tracemalloc.start()
+        try:
+            expectation(model, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.75 * 16 * (1 << n)
 
 
 class TestQaoaState:
