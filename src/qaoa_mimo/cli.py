@@ -233,8 +233,7 @@ def _error_row(inst, method, exc):
 def _top_indices(probs, k):
     """The first k entries of np.argsort(-probs, kind="stable"): the k largest
     probabilities, largest first, ties by index, without sorting all of probs."""
-    if k >= probs.size:
-        return np.argsort(-probs, kind="stable")
+    k = min(k, probs.size)
     kth = np.partition(probs, probs.size - k)[probs.size - k]
     candidates = np.flatnonzero(probs >= kth)  # ascending, so ties keep index order
     return candidates[np.argsort(-probs[candidates], kind="stable")[:k]]

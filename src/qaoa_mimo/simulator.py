@@ -109,13 +109,8 @@ def _flip_costs(model):
 
 
 def _double(table, k, start, steps, op):
-    """Fill table[2^k : 2^(k+1)] from table[:2^k] by doubling over qubit k.
-
-    Entry m of the new half is table[m] op start op steps[j] for every set
-    bit j < k of m.  With op = np.add, start = the flip cost of spin k and
-    steps = its row of 4 * couplings this is the energy with spin k
-    flipped; with np.multiply and their phase factors it is the phase.
-    """
+    """Fill table[2^k : 2^(k+1)] from table[:2^k]: entry m of the new half
+    is table[m] op start op steps[j] for every set bit j < k of m."""
     half = table[1 << k : 2 << k]
     half[0] = start
     for j in range(k):
@@ -127,9 +122,7 @@ def hamiltonian_diagonal(model, max_qubits=DEFAULT_QUBIT_CAP):
     """Diagonal of the problem Hamiltonian over all 2^n basis states.
 
     Entry m is the classical spin energy of the symbol vector encoded by
-    index m (bit k set means spin k is -1).  Entry 0 is the all-(+1)
-    energy; each qubit k doubles the filled part by adding spin k's flip
-    cost, so the build takes O(2^n) additions.
+    index m (bit k set means spin k is -1), built by doubling over qubits.
     """
     _check_cap(model.n, max_qubits)
     energy, flips, steps = _flip_costs(model)
@@ -167,12 +160,8 @@ def _block_widths(n):
 
 
 def _phase(model, diag, gamma, out, scale=None):
-    """exp(-i gamma diag) (times ``scale``) into ``out``.
-
-    np.exp covers the lowest PHASE_BLOCK qubits; each higher qubit doubles
-    the filled part with the phase factors of its flip costs, so the layer
-    takes O(n^2) complex exponentials instead of 2^n.
-    """
+    """exp(-i gamma diag), times ``scale`` if given, into ``out``: np.exp
+    over the lowest PHASE_BLOCK qubits, doubled over the others."""
     seed = out[: 1 << min(model.n, PHASE_BLOCK)]
     np.exp(np.multiply(-1j * gamma, diag[: seed.size], out=seed), out=seed)
     if scale is not None:

@@ -108,16 +108,16 @@ def golden_run(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def fixture():
+def recorded():
     with open(FIXTURE) as fh:
         return json.load(fh)
 
 
-def test_bytes_unchanged(golden_run, fixture):
-    if fixture["toolchain"] != toolchain():
-        pytest.skip(f"hashes recorded on {fixture['toolchain']}, running on {toolchain()}")
+def test_bytes_unchanged(golden_run, recorded):
+    if recorded["toolchain"] != toolchain():
+        pytest.skip(f"hashes recorded on {recorded['toolchain']}, running on {toolchain()}")
     work, files = golden_run
-    assert digests(work, files) == fixture["sha256"]
+    assert digests(work, files) == recorded["sha256"]
 
 
 def test_rows_consistent(golden_run):
@@ -142,10 +142,10 @@ def test_rows_consistent(golden_run):
     assert problems == []
 
 
-def test_trained_angles_match(golden_run, fixture):
+def test_trained_angles_match(golden_run, recorded):
     work, _ = golden_run
     _, angles = trained_angles(work)
-    np.testing.assert_allclose(angles, fixture["init_angles"], rtol=ANGLE_RTOL, atol=0)
+    np.testing.assert_allclose(angles, recorded["init_angles"], rtol=ANGLE_RTOL, atol=0)
 
 
 if __name__ == "__main__":
