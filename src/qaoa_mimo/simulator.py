@@ -16,7 +16,10 @@ exponentials instead of 2^n.
 The mixer splits the n qubits into near-equal blocks of at most
 MIXER_BLOCK qubits and applies each block's Rx(2 beta)^{(x) w} as a
 dense 2^w x 2^w matrix product, so it makes ceil(n / MIXER_BLOCK)
-passes over the amplitudes instead of n single-qubit sweeps.
+passes over the amplitudes instead of n single-qubit sweeps.  Each
+product is computed as a stack of products small enough for OpenBLAS to
+run on the calling thread, so its time does not depend on whether a
+second core is free.
 
 Expectations are computed exactly from the final probabilities
 (infinite-shot limit); finite-shot sampling exists only for
@@ -37,6 +40,11 @@ DEFAULT_QUBIT_CAP = 20
 
 # Widest mixer block: a 32 x 32 unitary per pass over the amplitudes.
 MIXER_BLOCK = 5
+
+# Largest matrix product (m * n * k multiply-adds) that OpenBLAS runs on
+# the calling thread.  A product it splits across threads waits for a
+# second core, so its time depends on what else the machine runs.
+_SERIAL_MATMUL = 1 << 15
 
 # Lowest qubits whose phase is one np.exp per amplitude; each higher qubit
 # is doubled from them (see _phase).  Doubling from 10 qubits is faster
@@ -187,9 +195,15 @@ def _evolve(model, diag, params):
         for w in widths:
             # spare = mixer @ amps.reshape(-1, 2^w).T moves this block (the low
             # w bits) to the top bits, so after all blocks every qubit is
-            # back in place.
-            mixer = _mixer_block(w, beta)
-            np.matmul(mixer, amps.reshape(-1, 1 << w).T, out=spare.reshape(1 << w, -1))
+            # back in place.  It is computed as a stack of products over
+            # `cols` columns each, small enough to stay on this thread; every
+            # entry gets the same bits as from one product.
+            cols = min(dim >> w, _SERIAL_MATMUL >> 2 * w)
+            np.matmul(
+                _mixer_block(w, beta),
+                amps.reshape(-1, cols, 1 << w).transpose(0, 2, 1),
+                out=spare.reshape(1 << w, -1, cols).transpose(1, 0, 2),
+            )
             amps, spare = spare, amps
     return amps
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import qaoa_mimo
+from qaoa_mimo import simulator
 from qaoa_mimo.errors import ResourceLimitError
 from qaoa_mimo.instances import generate_instance
 from qaoa_mimo.ising import IsingModel, build_ising, index_to_spins, ising_energy, spins_to_index
@@ -220,6 +221,39 @@ class TestBlockedMixer:
             )
             expected = functools.reduce(np.kron, [rx] * w)
             assert np.allclose(_mixer_block(w, beta), expected, rtol=0, atol=1e-15)
+
+
+class _RecordingNumpy:
+    """numpy, except that np.matmul records the multiply-adds of each product."""
+
+    def __init__(self):
+        self.products = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, a, b, **kwargs):
+        self.products.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
+        return np.matmul(a, b, **kwargs)
+
+
+class TestSerialMixer:
+    @pytest.mark.parametrize("n", [1, 4, 6, 11, 16, 18])
+    def test_every_product_stays_on_one_thread(self, n, monkeypatch):
+        recording = _RecordingNumpy()
+        monkeypatch.setattr(simulator, "np", recording)
+        model = build_ising(generate_instance(n, n, 1.0, seed=n))
+        expectation(model, QaoaParams(p=2, gammas=[0.1, 0.2], betas=[0.9, 0.5]))
+        assert len(recording.products) == 2 * -(-n // MIXER_BLOCK)
+        assert max(recording.products) <= simulator._SERIAL_MATMUL
+
+    @pytest.mark.parametrize("n", [5, 11, 16])
+    def test_stacked_products_give_the_bits_of_one_product(self, n, monkeypatch):
+        model = build_ising(generate_instance(n, n, 1.0, seed=n))
+        params = QaoaParams(p=3, gammas=[0.1, 0.2, 0.3], betas=[0.9, 0.5, 0.2])
+        stacked = qaoa_state(model, params).amplitudes
+        monkeypatch.setattr(simulator, "_SERIAL_MATMUL", 1 << 62)
+        assert np.array_equal(stacked, qaoa_state(model, params).amplitudes)
 
 
 class TestPhase:
