@@ -22,7 +22,6 @@ from .instances import (
 )
 from .ising import (
     IsingModel,
-    bits_to_spins,
     build_ising,
     index_to_bitstring,
     index_to_spins,
@@ -38,7 +37,6 @@ from .simulator import (
     expectation,
     hamiltonian_diagonal,
     qaoa_state,
-    sample,
     success_probability,
 )
 from .warmstart import (
@@ -67,7 +65,6 @@ __all__ = [
     "Statevector",
     "angle_bounds",
     "bayes_opt",
-    "bits_to_spins",
     "brute_force_detect",
     "build_ising",
     "depth1_expectation",
@@ -87,7 +84,6 @@ __all__ = [
     "qaoa_state",
     "read_init_params",
     "read_instances",
-    "sample",
     "spin_expectation",
     "spins_to_bits",
     "spins_to_index",

@@ -5,14 +5,13 @@ kernel and fixed hyperparameters; the loop proposes each new point by
 maximizing mean + kappa * std over the search box.  Everything is
 deterministic in the caller's seed: quasi-random initial design,
 multi-start pattern search for the acquisition, and the Philox
-substreams behind both.
+substreams behind both.  scipy is slow to import, so each function
+imports the parts it uses and importing this module loads none of it.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.spatial.distance import cdist
 
 from .errors import ObjectiveEvaluationError
 from .rng import STREAM_BAYESOPT, substream
@@ -35,7 +34,8 @@ class SquaredExponentialKernel:
     noise_variance: float = 1e-6
 
     def matrix(self, xa, xb):
-        sq = cdist(np.atleast_2d(xa), np.atleast_2d(xb), "sqeuclidean")
+        from scipy.spatial import distance  # cheaper per call than importing cdist itself
+        sq = distance.cdist(np.atleast_2d(xa), np.atleast_2d(xb), "sqeuclidean")
         return self.signal_variance * np.exp(-0.5 * sq / self.length_scale**2)
 
 
@@ -73,6 +73,7 @@ def gp_fit(points, observations, kernel=None):
     kernel = kernel if kernel is not None else SquaredExponentialKernel()
     if kernel.noise_variance <= 0:
         raise ValueError("noise_variance must be positive")
+    from scipy.linalg import cho_factor, cho_solve
 
     base = kernel.matrix(points, points)
     eye = np.eye(points.shape[0])
@@ -107,6 +108,7 @@ def gp_predict(post, x):
         raise ValueError(
             f"query has dimension {x.shape[1]}, posterior has {post.points.shape[1]}"
         )
+    from scipy.linalg import cho_solve
     kstar = post.kernel.matrix(post.points, x)[:, 0]
     mean = float(kstar @ post._alpha)
     variance = float(post.kernel.signal_variance - kstar @ cho_solve(post._factor, kstar))
@@ -209,8 +211,6 @@ def bayes_opt(objective, bounds, t_rounds, kappa=2.0, n_init=5, seed=0, kernel=N
     low, span = bounds[:, 0], bounds[:, 1] - bounds[:, 0]
     d = low.size
 
-    # imported here, not at the top: scipy.stats is slow to import and
-    # only this function needs it
     from scipy.stats import qmc
 
     gen = substream(seed, STREAM_BAYESOPT)

@@ -14,23 +14,28 @@ import argparse
 import math
 import os
 import sys
+from collections import namedtuple
 
 import numpy as np
 
 from . import localopt
+from .bayesopt import SquaredExponentialKernel, bayes_opt, gp_fit, gp_predict
+from .closed_form import depth1_expectation
 from .errors import ObjectiveEvaluationError, ResourceLimitError
 from .instances import (
     brute_force_detect,
     generate_instance,
+    ml_objective,
     read_instances,
     write_instances,
 )
-from .ising import build_ising, index_to_bitstring, index_to_spins, spins_to_bits
+from .ising import build_ising, index_to_bitstring, index_to_spins, ising_energy, spins_to_bits
 from .jsonio import SCHEMA_VERSION, dump_line, dumps, format_float, loads
 from .rng import STREAM_ANTENNA_CHOICE, STREAM_INSTANCE_SEEDS, STREAM_RANDOM_INIT, substream
 from .simulator import (
     DEFAULT_QUBIT_CAP,
     QaoaParams,
+    hamiltonian_diagonal,
     qaoa_state,
     success_probability,
 )
@@ -292,6 +297,8 @@ def _detection_runs(config, seed, methods):
     p = _require(config, "p", int, minimum=1)
     budget = _optional(config, "budget", int, 150, minimum=1)
     tol = _optional(config, "tol", float, 1e-6)
+    if tol <= 0:
+        raise ConfigError(f"config key 'tol' must be > 0, got {tol}")
     top_k = _optional(config, "top_k", int, 8, minimum=1)
     bounds = _resolve_bounds(config, p)
     max_qubits = _resolve_max_qubits(config)
@@ -391,79 +398,122 @@ def _compare_summary(reports):
     return summary
 
 
-def cmd_selftest(seed):
-    """Quick internal consistency battery; exit 0 only if every check passes."""
-    from .closed_form import depth1_expectation
-    from .ising import ising_energy
-    from .instances import ml_objective
-    from .bayesopt import SquaredExponentialKernel, bayes_opt, gp_fit, gp_predict
-    from .simulator import hamiltonian_diagonal
+# Consistency checks: selftest runs each at its quick size, the acceptance suite at
+# the sizes it pins.  run(gen, size) returns (ok, detail); title(size) describes it.
+Check = namedtuple("Check", "name run title quick")
 
-    gen = np.random.default_rng(seed)
-    checks = []
+EXACT_TOL = 1e-9  # closed form vs statevector, and the offset identity
+UNITARITY_TOL = 1e-12
+GP_FORMULA_TOL, GP_INTERPOLATION_TOL = 1e-8, 1e-4
+BO_RADIUS, BO_HIT_RATE = 0.1, 0.9
 
+
+def _tol_str(tol):
+    return f"{tol:.0e}".replace("e-0", "e-")  # 1e-09 -> 1e-9
+
+
+def _random_instance(gen, n_stop):
+    n = int(gen.integers(2, n_stop))
+    return generate_instance(n, n, 1.0, seed=int(gen.integers(0, 2**63)))
+
+
+def closed_form_vs_simulator(gen, size):
     worst = 0.0
-    for _ in range(20):
-        n = int(gen.integers(2, 7))
-        inst = generate_instance(n, n, 1.0, int(gen.integers(0, 2**63)))
-        model = build_ising(inst)
-        gamma = float(gen.uniform(0, np.pi / 2))
-        beta = float(gen.uniform(0, np.pi))
+    for _ in range(size):
+        model = build_ising(_random_instance(gen, 7))
+        gamma, beta = float(gen.uniform(0.0, np.pi / 2)), float(gen.uniform(0.0, np.pi))
         sim = simulator_expectation(model, QaoaParams(p=1, gammas=[gamma], betas=[beta]))
         worst = max(worst, abs(sim - depth1_expectation(model, gamma, beta)))
-    checks.append(("closed-form-vs-simulator", worst <= 1e-9, f"max diff {worst:.3e}"))
+    return worst <= EXACT_TOL, f"max |diff| = {worst:.3e}"
 
+
+def offset_identity(gen, size):
     worst = 0.0
-    ground_ok = True
-    for _ in range(10):
-        n = int(gen.integers(2, 7))
-        inst = generate_instance(n, n, 1.0, int(gen.integers(0, 2**63)))
+    for _ in range(size):
+        inst = _random_instance(gen, 9)
         model = build_ising(inst)
-        diag = hamiltonian_diagonal(model)
-        for m in range(1 << n):
-            x = index_to_spins(m, n)
+        for m in range(1 << model.n):
+            x = index_to_spins(m, model.n)
             worst = max(worst, abs(ising_energy(model, x) + model.offset - ml_objective(inst, x)))
-        x_best, _ = brute_force_detect(inst)
-        if not np.array_equal(index_to_spins(int(np.argmin(diag)), n), x_best):
-            ground_ok = False
-    checks.append(("offset-identity", worst <= 1e-9, f"max diff {worst:.3e}"))
-    checks.append(("ground-state-agreement", ground_ok, ""))
+    return worst <= EXACT_TOL, f"max |diff| = {worst:.3e}"
 
-    inst = generate_instance(5, 5, 1.0, int(gen.integers(0, 2**63)))
-    model = build_ising(inst)
-    params = QaoaParams(p=3, gammas=gen.uniform(0, 1, 3), betas=gen.uniform(0, 1, 3))
-    amps = qaoa_state(model, params).amplitudes
-    norm_err = abs(float(np.sum(amps.real**2 + amps.imag**2)) - 1.0)
-    checks.append(("statevector-norm", norm_err <= 1e-12, f"deviation {norm_err:.3e}"))
 
-    points = gen.uniform(0, 1, (5, 2))
-    values = gen.normal(size=5)
-    kernel = SquaredExponentialKernel(noise_variance=1e-8)
-    post = gp_fit(points, values, kernel)
-    kmat = kernel.matrix(points, points) + 1e-8 * np.eye(5)
-    x = gen.uniform(0, 1, 2)
-    kstar = kernel.matrix(points, x[None, :])[:, 0]
-    direct_mean = float(kstar @ np.linalg.solve(kmat, values))
-    mean, _ = gp_predict(post, x)
-    gp_err = abs(mean - direct_mean)
-    checks.append(("gp-direct-formula", gp_err <= 1e-8, f"diff {gp_err:.3e}"))
+def ground_state_agreement(gen, size):
+    agreed = 0
+    for _ in range(size):
+        inst = _random_instance(gen, 9)
+        ground = index_to_spins(int(np.argmin(hamiltonian_diagonal(build_ising(inst)))), inst.n_t)
+        agreed += bool(np.array_equal(ground, brute_force_detect(inst)[0]))
+    return agreed == size, f"{agreed}/{size} agreed"
 
-    history = bayes_opt(
-        lambda v: -((v[0] - 0.3) ** 2),
-        np.array([[0.0, 1.0]]),
-        t_rounds=15,
-        kappa=2.0,
-        n_init=5,
-        seed=seed,
-    )
-    bo_err = abs(float(history.best_point[0]) - 0.3)
-    checks.append(("bayesopt-quadratic", bo_err <= 0.1, f"|x*-0.3| = {bo_err:.3f}"))
 
+def unitarity(gen, size):
+    worst_norm = worst_beta0 = 0.0
+    for p in range(1, size + 1):
+        model = build_ising(generate_instance(6, 6, 1.0, seed=int(gen.integers(0, 2**63))))
+        params = QaoaParams(p, gen.uniform(0, np.pi / 2, p), gen.uniform(0, np.pi, p))
+        amps = qaoa_state(model, params).amplitudes
+        worst_norm = max(worst_norm, abs(float(np.sum(np.abs(amps) ** 2)) - 1.0))
+        beta0 = QaoaParams(p, gen.uniform(0, np.pi / 2, p), np.zeros(p))
+        worst_beta0 = max(worst_beta0, abs(simulator_expectation(model, beta0)))
+    ok = worst_norm <= UNITARITY_TOL and worst_beta0 <= UNITARITY_TOL
+    return ok, f"norm dev {worst_norm:.3e}, beta0 exp {worst_beta0:.3e}"
+
+
+def gp_predictions(gen, size):
+    worst_formula = 0.0
+    for _ in range(size):
+        m = int(gen.integers(1, 6))
+        kernel = SquaredExponentialKernel(noise_variance=1e-6)
+        points, values = gen.random((m, 2)), gen.normal(size=m)
+        post = gp_fit(points, values, kernel)
+        inv = np.linalg.inv(kernel.matrix(points, points) + kernel.noise_variance * np.eye(m))
+        x = gen.random(2)
+        kstar = kernel.matrix(points, x[None, :])[:, 0]
+        mean, variance = gp_predict(post, x)
+        worst_formula = max(worst_formula, abs(mean - float(kstar @ inv @ values)),
+                            abs(variance - float(kernel.signal_variance - kstar @ inv @ kstar)))
+    points, values = gen.random((5, 2)), gen.normal(size=5)
+    post = gp_fit(points, values, SquaredExponentialKernel(noise_variance=1e-10))
+    worst_interp = max(abs(gp_predict(post, x)[0] - v) for x, v in zip(points, values))
+    ok = worst_formula <= GP_FORMULA_TOL and worst_interp <= GP_INTERPOLATION_TOL
+    return ok, f"formula dev {worst_formula:.3e}, interpolation dev {worst_interp:.3e}"
+
+
+def bayesopt_parabola(gen, size):
+    hits = 0
+    for _ in range(size):
+        history = bayes_opt(lambda x: -((x[0] - 0.3) ** 2), np.array([[0.0, 1.0]]),
+                            t_rounds=20, kappa=2.0, seed=int(gen.integers(0, 2**63)))
+        hits += abs(float(history.best_point[0]) - 0.3) <= BO_RADIUS
+    return hits >= BO_HIT_RATE * size, f"{hits}/{size} seeds within {BO_RADIUS} of the optimum"
+
+
+CHECKS = (
+    Check("closed-form-vs-simulator", closed_form_vs_simulator, lambda size:
+          f"depth-1 closed form vs statevector, {size} tuples, {_tol_str(EXACT_TOL)}", 20),
+    Check("offset-identity", offset_identity, lambda size: "spin energy + offset = ML "
+          f"objective, {size} instances exhaustive, {_tol_str(EXACT_TOL)}", 10),
+    Check("ground-state-agreement", ground_state_agreement, lambda size:
+          f"argmin of diagonal decodes to exhaustive detector, {size} instances", 10),
+    Check("unitarity", unitarity, lambda size:
+          f"statevector norm and beta=0 expectation, p<={size}, {_tol_str(UNITARITY_TOL)}", 3),
+    Check("gp-predictions", gp_predictions, lambda size:
+          f"GP predictions: direct formula {_tol_str(GP_FORMULA_TOL)}, "
+          f"interpolation {_tol_str(GP_INTERPOLATION_TOL)}", 5),
+    Check("bayesopt-parabola", bayesopt_parabola, lambda size:
+          f"surrogate loop on shifted parabola, {math.ceil(BO_HIT_RATE * size)} of {size} "
+          f"seeds within {BO_RADIUS}", 1),
+)
+
+
+def cmd_selftest(seed):
+    """Run every consistency check at its quick size; exit 0 only if all pass."""
+    gen = np.random.default_rng(seed)
     all_ok = True
-    for name, ok, detail in checks:
-        status = "PASS" if ok else "FAIL"
-        suffix = f" ({detail})" if detail else ""
-        print(f"selftest {name}: {status}{suffix}")
+    for check in CHECKS:
+        ok, detail = check.run(gen, check.quick)
+        print(f"selftest {check.name}: {'PASS' if ok else 'FAIL'} ({detail})")
         all_ok = all_ok and ok
     return EXIT_OK if all_ok else EXIT_RUNTIME
 
@@ -511,7 +561,8 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ResourceLimitError, ObjectiveEvaluationError, np.linalg.LinAlgError, ValueError) as exc:
+    except (ResourceLimitError, ObjectiveEvaluationError, np.linalg.LinAlgError, ValueError,
+            MemoryError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except OSError as exc:

@@ -55,22 +55,8 @@ def ising_energy(model, x):
     return float(x @ model.gram @ x - np.trace(model.gram) - 2.0 * (model.matched @ x))
 
 
-def bits_to_spins(bits):
-    """Decode a measured bitstring into a symbol vector (1 -> -1, 0 -> +1).
-
-    Accepts a '0'/'1' string (antenna 1 leftmost) or an integer sequence.
-    """
-    if isinstance(bits, str):
-        values = np.array([int(c) for c in bits], dtype=np.int64)
-    else:
-        values = np.asarray(bits, dtype=np.int64)
-    if not np.all((values == 0) | (values == 1)):
-        raise ValueError("bits must be 0 or 1")
-    return 1 - 2 * values
-
-
 def spins_to_bits(x):
-    """Inverse of bits_to_spins: symbol vector to bitstring, antenna 1 leftmost."""
+    """Symbol vector to bitstring (-1 -> '1', +1 -> '0'), antenna 1 leftmost."""
     x = np.asarray(x)
     if not np.all(np.abs(x) == 1):
         raise ValueError("x entries must be -1 or +1")
@@ -98,13 +84,3 @@ def spins_to_index(x):
 def index_to_bitstring(index, n):
     """Printable bitstring for a basis index, antenna 1 leftmost."""
     return "".join("1" if (int(index) >> k) & 1 else "0" for k in range(n))
-
-
-def bitstring_to_index(bits):
-    index = 0
-    for k, c in enumerate(bits):
-        if c == "1":
-            index |= 1 << k
-        elif c != "0":
-            raise ValueError(f"invalid bit character {c!r}")
-    return index

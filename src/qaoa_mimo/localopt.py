@@ -3,13 +3,13 @@
 Wraps scipy's COBYLA (the PRIMA port, scipy >= 1.16) behind a traced
 interface: every evaluation is recorded, the budget is the exact maximum
 number of objective calls, and box bounds are enforced through a
-quadratic penalty so the objective stays callable everywhere.
+quadratic penalty so the objective stays callable everywhere.  scipy is
+imported when ``minimize`` runs, not with the module.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
 from .errors import ObjectiveEvaluationError
 
@@ -48,6 +48,7 @@ def minimize(objective, x0, bounds=None, budget=150, tol=1e-6, rhobeg=None):
     Deterministic given identical inputs.  If the objective raises, the
     run aborts and ObjectiveEvaluationError carries the partial trace.
     """
+    from scipy.optimize import minimize as _scipy_minimize
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     x0 = np.asarray(x0, dtype=np.float64)

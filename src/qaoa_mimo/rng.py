@@ -15,7 +15,6 @@ import numpy as np
 STREAM_CHANNEL = 1
 STREAM_SYMBOLS = 2
 STREAM_NOISE = 3
-STREAM_SAMPLE = 4
 STREAM_BAYESOPT = 5
 STREAM_INSTANCE_SEEDS = 10
 STREAM_ANTENNA_CHOICE = 11

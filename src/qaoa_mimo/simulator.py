@@ -22,8 +22,7 @@ run on the calling thread, so its time does not depend on whether a
 second core is free.
 
 Expectations are computed exactly from the final probabilities
-(infinite-shot limit); finite-shot sampling exists only for
-readout-style reporting.  A model's diagonal is built the first time it
+(infinite-shot limit).  A model's diagonal is built the first time it
 is simulated and kept with the model for every later call.
 """
 
@@ -32,8 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ResourceLimitError
-from .ising import index_to_bitstring, spins_to_index
-from .rng import STREAM_SAMPLE, substream
+from .ising import spins_to_index
 
 # 2^20 complex doubles is 16 MB; anything larger needs an explicit override.
 DEFAULT_QUBIT_CAP = 20
@@ -84,9 +82,6 @@ class QaoaParams:
             raise ValueError("angle vector must be 1-D with even length")
         p = theta.size // 2
         return cls(p=p, gammas=theta[:p], betas=theta[p:])
-
-    def to_vector(self):
-        return np.concatenate([self.gammas, self.betas])
 
 
 @dataclass
@@ -222,27 +217,6 @@ def expectation(model, params, max_qubits=DEFAULT_QUBIT_CAP):
     # not probs @ diag: OpenBLAS splits a long dot product across threads,
     # which makes its roundoff depend on the thread count
     return float(np.sum(probs * diag))
-
-
-def sample(state, shots, seed):
-    """Multinomial measurement counts, deterministic in ``seed``.
-
-    Returns a dict mapping bitstrings (antenna 1 leftmost) to counts;
-    zero-count strings are omitted.  Counts sum to ``shots``.
-    """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    amps = state.amplitudes
-    probs = amps.real**2 + amps.imag**2
-    probs = np.clip(probs, 0.0, None)
-    probs /= probs.sum()
-    gen = substream(seed, STREAM_SAMPLE)
-    counts = gen.multinomial(shots, probs)
-    return {
-        index_to_bitstring(m, state.n): int(c)
-        for m, c in enumerate(counts)
-        if c > 0
-    }
 
 
 def success_probability(state, x):

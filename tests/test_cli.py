@@ -178,6 +178,38 @@ def test_bool_or_non_finite_float_is_config_error(tmp_path, mode, key, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tol", [0, -1])
+def test_non_positive_tol_is_config_error(tmp_path, capsys, tol):
+    instances = tmp_path / "inst.jsonl"
+    write_instances(instances, [make_identity_instance([1, -1], seed=5)])
+    config = write_config(tmp_path, "d.json", instances=str(instances), p=1, seed=1, tol=tol)
+    out = tmp_path / "out.jsonl"
+    assert cli.main(["detect", "--config", config, "--out", str(out)]) == 1
+    assert "'tol'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Arrays numpy refuses before allocating anything: each is larger than
+# the 47-bit (128 TiB) address space, whatever the kernel's overcommit rule.
+@pytest.mark.parametrize(
+    "mode, fields",
+    [
+        ("train-init", {"p": 1e13, "t_rounds": 1}),
+        ("detect", {"p": 1e13}),
+        ("compare", {"p": 1e13}),
+        ("train-init", {"p": 1, "t_rounds": 1, "n_init": 1e15}),
+    ],
+    ids=["train-init-p", "detect-p", "compare-p", "train-init-n_init"],
+)
+def test_absurd_size_is_runtime_error(tmp_path, capsys, mode, fields):
+    instances = tmp_path / "inst.jsonl"
+    write_instances(instances, [make_identity_instance([1, -1], seed=5)])
+    config = write_config(tmp_path, "c.json", instances=str(instances), seed=1, **fields)
+    assert cli.main([mode, "--config", config, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: ") and err.count("\n") == 1
+
+
 def test_unsupported_kind_is_not_a_config_error():
     # a kind with no converter is a bug in the caller; it must not pass as a value check
     with pytest.raises(KeyError):
@@ -453,19 +485,32 @@ class TestCompare:
 
 
 class TestSelftestAndErrors:
-    def test_cli_import_leaves_scipy_stats_unloaded(self):
+    @staticmethod
+    def exit_code_without_scipy(code):
+        """Run code in a fresh interpreter; exit 1 if it raised or loaded any of scipy."""
         src = os.path.dirname(os.path.dirname(cli.__file__))
+        script = f"import sys; sys.path.insert(0, {src!r}); {code}; "
+        script += "sys.exit('scipy' in sys.modules)"
+        return subprocess.run([sys.executable, "-c", script], timeout=60).returncode
+
+    def test_cli_import_leaves_scipy_stats_unloaded(self):
+        assert self.exit_code_without_scipy("import qaoa_mimo.cli") == 0
+
+    def test_gen_instances_leaves_scipy_unloaded(self, tmp_path):
+        config = write_config(tmp_path, "gen.json", count=2, n_t=[2, 3], seed=1)
+        out = str(tmp_path / "inst.jsonl")
         code = (
-            f"import sys; sys.path.insert(0, {src!r}); import qaoa_mimo.cli; "
-            "sys.exit('scipy.stats' in sys.modules)"
+            "from qaoa_mimo import cli; "
+            f"assert cli.main(['gen-instances', '--config', {config!r}, '--out', {out!r}]) == 0"
         )
-        assert subprocess.run([sys.executable, "-c", code], timeout=60).returncode == 0
+        assert self.exit_code_without_scipy(code) == 0
+        assert os.path.exists(out)
 
     def test_selftest_passes(self, capsys):
         assert cli.main(["selftest", "--seed", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "FAIL" not in out
-        assert out.count("PASS") >= 6
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(": ")[0] for line in lines] == [f"selftest {c.name}" for c in cli.CHECKS]
+        assert all(line.split(": ")[1].startswith("PASS (") for line in lines)
 
     def test_selftest_negative_seed_is_config_error(self, tmp_path, capsys):
         assert cli.main(["selftest", "--seed", "-3"]) == 1

@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 from qaoa_mimo.instances import ChannelInstance, generate_instance, ml_objective
 from qaoa_mimo.ising import (
     IsingModel,
-    bits_to_spins,
-    bitstring_to_index,
     build_ising,
     index_to_bitstring,
     index_to_spins,
@@ -111,28 +109,14 @@ class TestIsingEnergy:
 
 
 class TestEncoding:
-    def test_decode_documented_example(self):
-        assert np.array_equal(bits_to_spins("111100"), [-1, -1, -1, -1, 1, 1])
-
-    def test_decode_all_zeros(self):
-        assert np.array_equal(bits_to_spins("000000"), [1, 1, 1, 1, 1, 1])
-
-    def test_decode_accepts_int_sequence(self):
-        assert np.array_equal(bits_to_spins([1, 0, 1]), [-1, 1, -1])
-
-    def test_decode_rejects_other_symbols(self):
-        with pytest.raises(ValueError):
-            bits_to_spins("10x")
-
     @pytest.mark.parametrize("n", range(1, 9))
     def test_round_trip_every_vector(self, n):
         seen = set()
         for m in range(1 << n):
             x = index_to_spins(m, n)
             bits = spins_to_bits(x)
-            assert np.array_equal(bits_to_spins(bits), x)
+            assert bits == index_to_bitstring(m, n)
             assert spins_to_index(x) == m
-            assert bitstring_to_index(index_to_bitstring(m, n)) == m
             seen.add(bits)
         assert len(seen) == 1 << n  # bijection
 
@@ -145,9 +129,6 @@ class TestEncoding:
         assert x.shape == (n,) and len(bits) == n
         assert spins_to_index(x) == m
         assert spins_to_bits(x) == bits
-        assert np.array_equal(bits_to_spins(bits), x)
-        assert spins_to_index(bits_to_spins(bits)) == m
-        assert bitstring_to_index(bits) == m
 
     def test_antenna_one_is_leftmost(self):
         # index 1 has bit 0 set, i.e. antenna 1 carries symbol -1
