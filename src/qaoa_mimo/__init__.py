@@ -10,7 +10,7 @@ from .bayesopt import (
     maximize_acquisition,
     ucb,
 )
-from .closed_form import depth1_expectation, pair_expectation, spin_expectation
+from .closed_form import depth1_expectation, depth1_moments
 from .errors import ObjectiveEvaluationError, ResourceLimitError
 from .instances import (
     ChannelInstance,
@@ -68,6 +68,7 @@ __all__ = [
     "brute_force_detect",
     "build_ising",
     "depth1_expectation",
+    "depth1_moments",
     "expectation",
     "generate_instance",
     "gp_fit",
@@ -80,11 +81,9 @@ __all__ = [
     "meta_objective",
     "minimize",
     "ml_objective",
-    "pair_expectation",
     "qaoa_state",
     "read_init_params",
     "read_instances",
-    "spin_expectation",
     "spins_to_bits",
     "spins_to_index",
     "success_probability",

@@ -20,6 +20,9 @@ from .rng import STREAM_BAYESOPT, substream
 # much added noise indicates broken inputs rather than conditioning.
 MAX_JITTER = 1e-2
 
+# Uniform random starts of each acquisition search, besides the training points.
+ACQUISITION_STARTS = 8
+
 
 @dataclass(frozen=True)
 class SquaredExponentialKernel:
@@ -161,11 +164,11 @@ def _compass_search(score, start, low, high, max_evals):
     return x, best
 
 
-def maximize_acquisition(post, bounds, kappa, seed, n_starts=8):
+def maximize_acquisition(post, bounds, kappa, seed):
     """Approximate argmax of the UCB acquisition over a box.
 
-    Runs pattern (compass) search from ``n_starts`` uniform seeds plus
-    every training point, and returns the best endpoint.  Deterministic
+    Runs pattern (compass) search from ``ACQUISITION_STARTS`` uniform seeds
+    plus every training point, and returns the best endpoint.  Deterministic
     in ``seed``.
     """
     bounds = np.asarray(bounds, dtype=np.float64)
@@ -177,7 +180,7 @@ def maximize_acquisition(post, bounds, kappa, seed, n_starts=8):
         return ucb(*gp_predict(post, x), kappa)
 
     gen = substream(seed, STREAM_BAYESOPT)
-    starts = low + gen.random((n_starts, low.size)) * (high - low)
+    starts = low + gen.random((ACQUISITION_STARTS, low.size)) * (high - low)
     anchors = np.clip(post.points, low, high)
     best_x, best_val = None, -np.inf
     for start in np.vstack([starts, anchors]):
@@ -187,7 +190,7 @@ def maximize_acquisition(post, bounds, kappa, seed, n_starts=8):
     return best_x
 
 
-def bayes_opt(objective, bounds, t_rounds, kappa=2.0, n_init=5, seed=0, kernel=None, n_starts=8):
+def bayes_opt(objective, bounds, t_rounds, kappa=2.0, n_init=5, seed=0, kernel=None):
     """Sequential surrogate-based maximization of a black-box objective.
 
     ``n_init`` scrambled-Halton points are evaluated first, then
@@ -240,9 +243,7 @@ def bayes_opt(objective, bounds, t_rounds, kappa=2.0, n_init=5, seed=0, kernel=N
         z_next = None
         if scale > 1e-12:
             post = gp_fit(zs, (ys - ys.mean()) / scale, kernel)
-            z_next = maximize_acquisition(
-                post, unit_box, kappa, seed=int(gen.integers(2**63)), n_starts=n_starts
-            )
+            z_next = maximize_acquisition(post, unit_box, kappa, seed=int(gen.integers(2**63)))
             if np.min(np.linalg.norm(zs - z_next, axis=1)) < 1e-8:
                 z_next = None  # re-proposing a measured point carries no information
         if z_next is None:

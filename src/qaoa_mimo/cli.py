@@ -11,6 +11,7 @@ digits so reruns are byte-identical.
 """
 
 import argparse
+import json
 import math
 import os
 import sys
@@ -30,7 +31,7 @@ from .instances import (
     write_instances,
 )
 from .ising import build_ising, index_to_bitstring, index_to_spins, ising_energy, spins_to_bits
-from .jsonio import SCHEMA_VERSION, dump_line, dumps, format_float, loads
+from .jsonio import SCHEMA_VERSION, dump_line, dumps, format_float
 from .rng import STREAM_ANTENNA_CHOICE, STREAM_INSTANCE_SEEDS, STREAM_RANDOM_INIT, substream
 from .simulator import (
     DEFAULT_QUBIT_CAP,
@@ -75,7 +76,7 @@ def _load_config(path):
         return {}
     try:
         with open(path) as fh:
-            config = loads(fh.read())
+            config = json.loads(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except ValueError as exc:
@@ -208,14 +209,8 @@ def cmd_train_init(config, seed, out):
     max_qubits = _resolve_max_qubits(config)
 
     init = train_init(
-        instances,
-        p=p,
-        t_rounds=t_rounds,
-        kappa=kappa,
-        seed=seed,
-        n_init=n_init,
-        bounds=_resolve_bounds(config, p),
-        max_qubits=max_qubits,
+        instances, p=p, t_rounds=t_rounds, kappa=kappa, seed=seed, n_init=n_init,
+        bounds=_resolve_bounds(config, p), max_qubits=max_qubits,
     )
     write_init_params(out, init)
     print(
@@ -524,17 +519,11 @@ def build_parser():
         description="QAOA-based ML detection experiments on simulated MIMO channels",
     )
     sub = parser.add_subparsers(dest="mode", required=True)
-    for mode, needs_out in (
-        ("gen-instances", True),
-        ("train-init", True),
-        ("detect", True),
-        ("compare", True),
-        ("selftest", False),
-    ):
+    for mode in ("gen-instances", "train-init", "detect", "compare", "selftest"):
         mode_parser = sub.add_parser(mode)
         mode_parser.add_argument("--config", help="JSON config file")
         mode_parser.add_argument("--seed", type=int, help="master seed (overrides config)")
-        if needs_out:
+        if mode != "selftest":
             mode_parser.add_argument("--out", help="output path (overrides config)")
     return parser
 

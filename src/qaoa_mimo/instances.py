@@ -6,12 +6,14 @@ provides the maximum-likelihood objective ||y - H x||^2 and an exhaustive
 detector used as the ground-truth oracle everywhere else.
 """
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ResourceLimitError
-from .jsonio import SCHEMA_VERSION, dump_line, loads
+from .ising import index_to_spins
+from .jsonio import SCHEMA_VERSION, dump_line, require_fields
 from .rng import (
     STREAM_CHANNEL,
     STREAM_NOISE,
@@ -137,9 +139,7 @@ def brute_force_detect(inst, max_antennas=EXHAUSTIVE_CAP):
         if values[k] < best_value:
             best_value = float(values[k])
             best_index = start + k
-    bits = (best_index >> np.arange(n)) & 1
-    x_best = (1 - 2 * bits).astype(np.int64)
-    return x_best, best_value
+    return index_to_spins(best_index, n), best_value
 
 
 def instance_to_record(inst):
@@ -158,6 +158,9 @@ def instance_to_record(inst):
 
 
 def instance_from_record(record):
+    require_fields(
+        record, ("n_t", "n_r", "h", "x_true", "noise", "y", "noise_scale", "seed"), "instance"
+    )
     n_t = int(record["n_t"])
     n_r = int(record["n_r"])
     inst = ChannelInstance(
@@ -187,5 +190,5 @@ def read_instances(path):
         for line in fh:
             line = line.strip()
             if line:
-                instances.append(instance_from_record(loads(line)))
+                instances.append(instance_from_record(json.loads(line)))
     return instances

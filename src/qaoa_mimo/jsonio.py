@@ -69,8 +69,13 @@ def dump_line(obj, fh):
     fh.write("\n")
 
 
-def loads(text):
-    return json.loads(text)
+def require_fields(record, keys, kind):
+    """Raise ValueError unless ``record`` is a JSON object holding every key."""
+    if not isinstance(record, dict):
+        raise ValueError(f"{kind} record must be a JSON object, not {type(record).__name__}")
+    missing = [key for key in keys if key not in record]
+    if missing:
+        raise ValueError(f"{kind} record is missing {', '.join(map(repr, missing))}")
 
 
 def format_float(value):

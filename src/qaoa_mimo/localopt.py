@@ -40,11 +40,11 @@ class OptTrace:
     reason: str
 
 
-def minimize(objective, x0, bounds=None, budget=150, tol=1e-6, rhobeg=None):
+def minimize(objective, x0, bounds=None, budget=150, tol=1e-6):
     """Minimize ``objective`` from ``x0`` with at most ``budget`` evaluations.
 
-    ``rhobeg`` (the initial trust-region radius) defaults to 0.5, shrunk
-    to half the narrowest box span so the first probes stay near the box.
+    The initial trust-region radius is 0.5, shrunk to half the narrowest
+    box span so the first probes stay near the box.
     Deterministic given identical inputs.  If the objective raises, the
     run aborts and ObjectiveEvaluationError carries the partial trace.
     """
@@ -52,17 +52,15 @@ def minimize(objective, x0, bounds=None, budget=150, tol=1e-6, rhobeg=None):
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     x0 = np.asarray(x0, dtype=np.float64)
+    rhobeg = 0.5
     if bounds is not None:
         bounds = np.asarray(bounds, dtype=np.float64)
         if bounds.shape != (x0.size, 2):
             raise ValueError(f"bounds must have shape ({x0.size}, 2)")
         low, high = bounds[:, 0], bounds[:, 1]
-    if rhobeg is None:
-        rhobeg = 0.5
-        if bounds is not None:
-            span = float(np.min(high - low))
-            if span > 0:
-                rhobeg = min(0.5, 0.5 * span)
+        span = float(np.min(high - low))
+        if span > 0:
+            rhobeg = min(rhobeg, 0.5 * span)
 
     evaluations = []
 

@@ -6,13 +6,14 @@ optimization of -F over the angle box yields one angle vector that
 transfers as the starting point for larger detection runs.
 """
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bayesopt import SquaredExponentialKernel, bayes_opt
 from .ising import build_ising
-from .jsonio import SCHEMA_VERSION, dumps, loads
+from .jsonio import SCHEMA_VERSION, dumps, require_fields
 from .simulator import DEFAULT_QUBIT_CAP, QaoaParams, expectation
 
 DEFAULT_GAMMA_MAX = np.pi / 8
@@ -120,6 +121,7 @@ def init_params_to_record(init):
 
 
 def init_params_from_record(record):
+    require_fields(record, ("p", "gammas", "betas", "training_meta"), "init")
     p = int(record["p"])
     gammas = np.array(record["gammas"], dtype=np.float64)
     betas = np.array(record["betas"], dtype=np.float64)
@@ -138,4 +140,4 @@ def write_init_params(path, init):
 
 def read_init_params(path):
     with open(path) as fh:
-        return init_params_from_record(loads(fh.read()))
+        return init_params_from_record(json.loads(fh.read()))

@@ -210,6 +210,32 @@ def test_absurd_size_is_runtime_error(tmp_path, capsys, mode, fields):
     assert err.startswith("runtime error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "target, mangle",
+    [
+        ("instance", lambda record: {k: v for k, v in record.items() if k != "h"}),
+        ("instance", lambda record: list(record.values())),
+        ("init", lambda record: {k: v for k, v in record.items() if k != "p"}),
+        ("init", lambda record: list(record.values())),
+    ],
+    ids=["instance-missing-key", "instance-not-object", "init-missing-key", "init-not-object"],
+)
+def test_malformed_record_is_runtime_error(tmp_path, capsys, target, mangle):
+    instances, init_path = tmp_path / "inst.jsonl", tmp_path / "init.json"
+    write_instances(instances, [make_identity_instance([1, -1], seed=5)])
+    init_path.write_text(json.dumps({"p": 1, "gammas": [0.1], "betas": [0.2], "training_meta": {}}))
+    path = instances if target == "instance" else init_path
+    path.write_text(json.dumps(mangle(json.loads(path.read_text()))) + "\n")
+    config = write_config(
+        tmp_path, "d.json", instances=str(instances), init=str(init_path), p=1, seed=1
+    )
+    out = tmp_path / "out.jsonl"
+    assert cli.main(["detect", "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"runtime error: {target} record ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_unsupported_kind_is_not_a_config_error():
     # a kind with no converter is a bug in the caller; it must not pass as a value check
     with pytest.raises(KeyError):

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from qaoa_mimo.closed_form import depth1_expectation, pair_expectation, spin_expectation
+from qaoa_mimo.closed_form import depth1_expectation, depth1_moments
 from qaoa_mimo.instances import ChannelInstance, generate_instance
 from qaoa_mimo.ising import build_ising
 from qaoa_mimo.simulator import QaoaParams, expectation, qaoa_state
@@ -36,16 +38,16 @@ def random_cases(count, seed):
 class TestVanishingLimits:
     def test_zero_gamma(self):
         model = build_ising(generate_instance(4, 4, 1.0, seed=1))
-        for i in range(4):
-            assert spin_expectation(model, i, 0.0, 0.8) == pytest.approx(0.0, abs=1e-15)
-        assert pair_expectation(model, 0, 1, 0.0, 0.8) == pytest.approx(0.0, abs=1e-15)
+        z, zz = depth1_moments(model, 0.0, 0.8)
+        assert np.abs(z).max() == pytest.approx(0.0, abs=1e-15)
+        assert np.abs(zz).max() == pytest.approx(0.0, abs=1e-15)
         assert depth1_expectation(model, 0.0, 0.8) == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_beta(self):
         model = build_ising(generate_instance(4, 4, 1.0, seed=2))
-        for i in range(4):
-            assert spin_expectation(model, i, 0.3, 0.0) == pytest.approx(0.0, abs=1e-15)
-        assert pair_expectation(model, 1, 3, 0.3, 0.0) == pytest.approx(0.0, abs=1e-15)
+        z, zz = depth1_moments(model, 0.3, 0.0)
+        assert np.abs(z).max() == pytest.approx(0.0, abs=1e-15)
+        assert np.abs(zz).max() == pytest.approx(0.0, abs=1e-15)
         assert depth1_expectation(model, 0.3, 0.0) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -53,18 +55,16 @@ class TestAgainstStatevector:
     def test_single_spin_terms(self):
         for model, gamma, beta in random_cases(25, seed=10):
             singles, _ = simulator_moments(model, gamma, beta)
+            z, _ = depth1_moments(model, gamma, beta)
             for i in range(model.n):
-                assert spin_expectation(model, i, gamma, beta) == pytest.approx(
-                    singles[i], abs=1e-9
-                )
+                assert z[i] == pytest.approx(singles[i], abs=1e-9)
 
     def test_pair_terms(self):
         for model, gamma, beta in random_cases(25, seed=20):
             _, pairs = simulator_moments(model, gamma, beta)
+            _, zz = depth1_moments(model, gamma, beta)
             for (i, j), value in pairs.items():
-                assert pair_expectation(model, i, j, gamma, beta) == pytest.approx(
-                    value, abs=1e-9
-                )
+                assert zz[i, j] == pytest.approx(value, abs=1e-9)
 
     def test_full_expectation(self):
         for model, gamma, beta in random_cases(40, seed=30):
@@ -74,33 +74,38 @@ class TestAgainstStatevector:
 
 class TestStructure:
     def test_pair_symmetry(self):
+        # zz is exactly symmetric with an exactly zero diagonal
         for model, gamma, beta in random_cases(10, seed=40):
-            for i in range(model.n):
-                for j in range(model.n):
-                    if i != j:
-                        assert pair_expectation(model, i, j, gamma, beta) == pytest.approx(
-                            pair_expectation(model, j, i, gamma, beta), abs=1e-14
-                        )
+            z, zz = depth1_moments(model, gamma, beta)
+            assert z.shape == (model.n,) and zz.shape == (model.n, model.n)
+            assert np.array_equal(zz, zz.T)
+            assert np.all(np.diag(zz) == 0.0)
 
     def test_single_spin_beta_period(self):
         for model, gamma, beta in random_cases(10, seed=50):
-            for i in range(model.n):
-                assert spin_expectation(model, i, gamma, beta) == pytest.approx(
-                    spin_expectation(model, i, gamma, beta + np.pi), abs=1e-12
-                )
+            z, _ = depth1_moments(model, gamma, beta)
+            shifted, _ = depth1_moments(model, gamma, beta + np.pi)
+            np.testing.assert_allclose(z, shifted, rtol=0, atol=1e-12)
 
     def test_values_are_valid_moments(self):
         for model, gamma, beta in random_cases(15, seed=60):
-            for i in range(model.n):
-                assert abs(spin_expectation(model, i, gamma, beta)) <= 1.0 + 1e-12
-            assert abs(pair_expectation(model, 0, 1, gamma, beta)) <= 1.0 + 1e-12
+            z, zz = depth1_moments(model, gamma, beta)
+            assert np.abs(z).max() <= 1.0 + 1e-12
+            assert np.abs(zz).max() <= 1.0 + 1e-12
 
-    def test_index_validation(self):
-        model = build_ising(generate_instance(3, 3, 1.0, seed=3))
-        with pytest.raises(ValueError):
-            spin_expectation(model, 3, 0.1, 0.2)
-        with pytest.raises(ValueError):
-            pair_expectation(model, 1, 1, 0.1, 0.2)
+    def test_memory_is_quadratic_at_n100(self):
+        # all n^2 pair moments at n = 100 within a few n x n float arrays;
+        # an n^3 tensor (8 MB) would not fit under the bound
+        n = 100
+        model = build_ising(generate_instance(n, n, 1.0, seed=4))
+        depth1_moments(model, 0.02, 0.7)  # warm numpy's first-call allocations
+        tracemalloc.start()
+        try:
+            depth1_moments(model, 0.02, 0.7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * n * n * 8
 
 
 class TestDecoupledSubcase:

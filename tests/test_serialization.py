@@ -19,7 +19,7 @@ class TestCanonicalJson:
 
     @given(st.floats(allow_nan=False, allow_infinity=False))
     def test_every_finite_float_round_trips_bit_exactly(self, value):
-        parsed = jsonio.loads(jsonio.dumps(value))
+        parsed = json.loads(jsonio.dumps(value))
         assert isinstance(parsed, float)
         assert struct.pack("<d", parsed) == struct.pack("<d", value)
 
