@@ -8,7 +8,6 @@ from .bayesopt import (
     gp_fit,
     gp_predict,
     maximize_acquisition,
-    ucb,
 )
 from .closed_form import depth1_expectation, depth1_moments
 from .errors import ObjectiveEvaluationError, ResourceLimitError
@@ -88,7 +87,6 @@ __all__ = [
     "spins_to_index",
     "success_probability",
     "train_init",
-    "ucb",
     "write_init_params",
     "write_instances",
 ]

@@ -45,7 +45,6 @@ class SquaredExponentialKernel:
 @dataclass
 class GpPosterior:
     points: np.ndarray
-    observations: np.ndarray
     kernel: SquaredExponentialKernel
     noise_variance: float  # jitter actually used (>= kernel.noise_variance)
     _factor: tuple = field(repr=False, default=None)
@@ -90,104 +89,89 @@ def gp_fit(points, observations, kernel=None):
                 raise
             noise = min(noise * 10.0, MAX_JITTER)
     alpha = cho_solve(factor, observations)
-    return GpPosterior(
-        points=points,
-        observations=observations,
-        kernel=kernel,
-        noise_variance=noise,
-        _factor=factor,
-        _alpha=alpha,
-    )
+    return GpPosterior(points=points, kernel=kernel, noise_variance=noise,
+                       _factor=factor, _alpha=alpha)
 
 
 def gp_predict(post, x):
-    """Posterior predictive (mean, variance) at one point.
-
-    Variance is clamped to zero when roundoff pushes it slightly below;
-    anything under -1e-10 is treated as a numeric failure.
+    """Posterior predictive (mean, variance), each of shape (m,), at the rows of
+    an (m, d) ``x``; one (d,) point is a batch of one.  Variance pushed
+    slightly below zero by roundoff is clamped; under -1e-10 it is a failure.
     """
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != post.points.shape[1]:
         raise ValueError(
             f"query has dimension {x.shape[1]}, posterior has {post.points.shape[1]}"
         )
     from scipy.linalg import cho_solve
-    kstar = post.kernel.matrix(post.points, x)[:, 0]
-    mean = float(kstar @ post._alpha)
-    variance = float(post.kernel.signal_variance - kstar @ cho_solve(post._factor, kstar))
-    if variance < 0.0:
-        if variance < -1e-10:
-            raise np.linalg.LinAlgError(
-                f"negative predictive variance {variance}; factorization is unusable"
-            )
-        variance = 0.0
-    return mean, variance
+    kstar = post.kernel.matrix(post.points, x)
+    mean = post._alpha @ kstar
+    variance = post.kernel.signal_variance - np.sum(kstar * cho_solve(post._factor, kstar), axis=0)
+    if np.any(variance < -1e-10):
+        raise np.linalg.LinAlgError(
+            f"negative predictive variance {variance.min()}; factorization is unusable"
+        )
+    return mean, np.maximum(variance, 0.0)
 
 
-def ucb(mean, variance, kappa):
-    """Upper confidence bound mean + kappa * sqrt(variance)."""
-    if variance < 0:
-        raise ValueError(f"variance must be >= 0, got {variance}")
-    if kappa < 0:
-        raise ValueError(f"kappa must be >= 0, got {kappa}")
-    return float(mean + kappa * np.sqrt(variance))
+def _compass_search(score, starts, low, high, max_evals):
+    """Compass search maximizing ``score`` (rows of (m, d) -> (m,)) from each start.
 
-
-def _compass_search(score, start, low, high, max_evals):
+    Per axis, a start tries +step then -step and keeps a strict improvement;
+    a sweep without one halves its step.  It stops at exactly ``max_evals``
+    evaluations or at a step of 1e-3 span.  A move clipped to no change costs
+    none.  All starts advance together, one ``score`` call per move.
+    """
     span = high - low
-    step = 0.25 * span
     floor = 1e-3 * span
-    x = start.copy()
+    x = starts.copy()
     best = score(x)
-    evals = 1
-    while evals < max_evals:
-        improved = False
-        for axis in range(x.size):
-            if span[axis] == 0.0:
-                continue
-            for delta in (step[axis], -step[axis]):
-                cand = x.copy()
-                cand[axis] = min(max(x[axis] + delta, low[axis]), high[axis])
-                if cand[axis] == x[axis]:
+    step = np.tile(0.25 * span, (len(x), 1))
+    evals = np.ones(len(x), dtype=np.int64)
+    live = evals < max_evals
+    while live.any():
+        improved = np.zeros(len(x), dtype=bool)
+        for axis in np.flatnonzero(span):
+            for sign in (1.0, -1.0):
+                cand = np.clip(x[:, axis] + sign * step[:, axis], low[axis], high[axis])
+                moving = np.flatnonzero(live & (cand != x[:, axis]))
+                if moving.size == 0:
                     continue
-                value = score(cand)
-                evals += 1
-                if value > best:
-                    x, best = cand, value
-                    improved = True
-                if evals >= max_evals:
-                    return x, best
-        if not improved:
-            step = step * 0.5
-            if np.all(step <= floor):
-                break
+                trial = x[moving]
+                trial[:, axis] = cand[moving]
+                value = score(trial)
+                evals[moving] += 1
+                better = value > best[moving]
+                x[moving[better]], best[moving[better]] = trial[better], value[better]
+                improved[moving[better]] = True
+                live &= evals < max_evals
+        halving = live & ~improved
+        step[halving] *= 0.5
+        live &= ~(halving & np.all(step <= floor, axis=1))
     return x, best
 
 
 def maximize_acquisition(post, bounds, kappa, seed):
-    """Approximate argmax of the UCB acquisition over a box.
-
-    Runs pattern (compass) search from ``ACQUISITION_STARTS`` uniform seeds
-    plus every training point, and returns the best endpoint.  Deterministic
-    in ``seed``.
+    """Approximate argmax of the UCB acquisition mean + kappa * std over a box:
+    the first best endpoint of compass searches from ``ACQUISITION_STARTS``
+    uniform seeds and every training point.  Deterministic in ``seed``.
     """
+    if kappa < 0:
+        raise ValueError(f"kappa must be >= 0, got {kappa}")
     bounds = np.asarray(bounds, dtype=np.float64)
     if bounds.ndim != 2 or bounds.shape[1] != 2 or np.any(bounds[:, 1] < bounds[:, 0]):
         raise ValueError("bounds must be a (d, 2) array with high >= low")
     low, high = bounds[:, 0], bounds[:, 1]
 
     def score(x):
-        return ucb(*gp_predict(post, x), kappa)
+        mean, variance = gp_predict(post, x)
+        return mean + kappa * np.sqrt(variance)
 
     gen = substream(seed, STREAM_BAYESOPT)
     starts = low + gen.random((ACQUISITION_STARTS, low.size)) * (high - low)
     anchors = np.clip(post.points, low, high)
-    best_x, best_val = None, -np.inf
-    for start in np.vstack([starts, anchors]):
-        x, value = _compass_search(score, start, low, high, max_evals=200 * low.size)
-        if value > best_val:
-            best_x, best_val = x, value
-    return best_x
+    x, best = _compass_search(score, np.vstack([starts, anchors]), low, high, 200 * low.size)
+    return x[np.argmax(best)]
 
 
 def bayes_opt(objective, bounds, t_rounds, kappa=2.0, n_init=5, seed=0, kernel=None):

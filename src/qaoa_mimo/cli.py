@@ -465,12 +465,12 @@ def gp_predictions(gen, size):
         inv = np.linalg.inv(kernel.matrix(points, points) + kernel.noise_variance * np.eye(m))
         x = gen.random(2)
         kstar = kernel.matrix(points, x[None, :])[:, 0]
-        mean, variance = gp_predict(post, x)
+        (mean,), (variance,) = gp_predict(post, x)
         worst_formula = max(worst_formula, abs(mean - float(kstar @ inv @ values)),
                             abs(variance - float(kernel.signal_variance - kstar @ inv @ kstar)))
     points, values = gen.random((5, 2)), gen.normal(size=5)
     post = gp_fit(points, values, SquaredExponentialKernel(noise_variance=1e-10))
-    worst_interp = max(abs(gp_predict(post, x)[0] - v) for x, v in zip(points, values))
+    worst_interp = float(np.max(np.abs(gp_predict(post, points)[0] - values)))
     ok = worst_formula <= GP_FORMULA_TOL and worst_interp <= GP_INTERPOLATION_TOL
     return ok, f"formula dev {worst_formula:.3e}, interpolation dev {worst_interp:.3e}"
 

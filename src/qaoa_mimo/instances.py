@@ -8,12 +8,13 @@ detector used as the ground-truth oracle everywhere else.
 
 import json
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import ResourceLimitError
 from .ising import index_to_spins
-from .jsonio import SCHEMA_VERSION, dump_line, require_fields
+from .jsonio import SCHEMA_VERSION, dump_line, read_fields
 from .rng import (
     STREAM_CHANNEL,
     STREAM_NOISE,
@@ -158,21 +159,13 @@ def instance_to_record(inst):
 
 
 def instance_from_record(record):
-    require_fields(
-        record, ("n_t", "n_r", "h", "x_true", "noise", "y", "noise_scale", "seed"), "instance"
+    floats = partial(np.array, dtype=np.float64)
+    fields = read_fields(
+        record, "instance", n_t=int, n_r=int, h=floats, x_true=partial(np.array, dtype=np.int64),
+        noise=floats, y=floats, noise_scale=float, seed=int,
     )
-    n_t = int(record["n_t"])
-    n_r = int(record["n_r"])
-    inst = ChannelInstance(
-        n_t=n_t,
-        n_r=n_r,
-        h=np.array(record["h"], dtype=np.float64).reshape(n_r, n_t),
-        x_true=np.array(record["x_true"], dtype=np.int64),
-        noise=np.array(record["noise"], dtype=np.float64),
-        y=np.array(record["y"], dtype=np.float64),
-        noise_scale=float(record["noise_scale"]),
-        seed=int(record["seed"]),
-    )
+    fields["h"] = fields["h"].reshape(fields["n_r"], fields["n_t"])
+    inst = ChannelInstance(**fields)
     inst.validate()
     return inst
 

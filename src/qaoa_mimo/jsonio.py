@@ -69,13 +69,24 @@ def dump_line(obj, fh):
     fh.write("\n")
 
 
-def require_fields(record, keys, kind):
-    """Raise ValueError unless ``record`` is a JSON object holding every key."""
+def read_fields(record, kind, **converters):
+    """Return ``{key: convert(record[key])}`` for each keyword converter.
+
+    Raises ValueError, naming the record kind, unless ``record`` is a JSON
+    object holding every key with a value its converter accepts.
+    """
     if not isinstance(record, dict):
         raise ValueError(f"{kind} record must be a JSON object, not {type(record).__name__}")
-    missing = [key for key in keys if key not in record]
+    missing = [key for key in converters if key not in record]
     if missing:
         raise ValueError(f"{kind} record is missing {', '.join(map(repr, missing))}")
+    fields = {}
+    for key, convert in converters.items():
+        try:
+            fields[key] = convert(record[key])
+        except TypeError as exc:
+            raise ValueError(f"{kind} record has a wrong-typed {key!r}: {exc}") from exc
+    return fields
 
 
 def format_float(value):

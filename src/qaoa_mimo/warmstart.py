@@ -8,12 +8,13 @@ transfers as the starting point for larger detection runs.
 
 import json
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .bayesopt import SquaredExponentialKernel, bayes_opt
 from .ising import build_ising
-from .jsonio import SCHEMA_VERSION, dumps, require_fields
+from .jsonio import SCHEMA_VERSION, dumps, read_fields
 from .simulator import DEFAULT_QUBIT_CAP, QaoaParams, expectation
 
 DEFAULT_GAMMA_MAX = np.pi / 8
@@ -121,15 +122,11 @@ def init_params_to_record(init):
 
 
 def init_params_from_record(record):
-    require_fields(record, ("p", "gammas", "betas", "training_meta"), "init")
-    p = int(record["p"])
-    gammas = np.array(record["gammas"], dtype=np.float64)
-    betas = np.array(record["betas"], dtype=np.float64)
-    if gammas.shape != (p,) or betas.shape != (p,):
+    floats = partial(np.array, dtype=np.float64)
+    fields = read_fields(record, "init", p=int, gammas=floats, betas=floats, training_meta=dict)
+    if fields["gammas"].shape != (fields["p"],) or fields["betas"].shape != (fields["p"],):
         raise ValueError("angle vectors do not match the recorded depth")
-    return InitParams(
-        p=p, gammas=gammas, betas=betas, training_meta=dict(record["training_meta"])
-    )
+    return InitParams(**fields)
 
 
 def write_init_params(path, init):

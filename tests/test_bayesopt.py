@@ -3,11 +3,11 @@ import pytest
 
 from qaoa_mimo.bayesopt import (
     SquaredExponentialKernel,
+    _compass_search,
     bayes_opt,
     gp_fit,
     gp_predict,
     maximize_acquisition,
-    ucb,
 )
 from qaoa_mimo.errors import ObjectiveEvaluationError
 
@@ -25,18 +25,74 @@ def direct_prediction(points, values, kernel, x):
     return float(mean), float(variance)
 
 
+def acquisition_value(post, x, kappa):
+    mean, variance = gp_predict(post, x)
+    return mean + kappa * np.sqrt(variance)
+
+
+def reference_compass_search(score, start, low, high, max_evals):
+    """The one-start-at-a-time search the batched one must reproduce exactly."""
+    span = high - low
+    step = 0.25 * span
+    floor = 1e-3 * span
+    x = start.copy()
+    best = score(x)
+    evals = 1
+    while evals < max_evals:
+        improved = False
+        for axis in range(x.size):
+            if span[axis] == 0.0:
+                continue
+            for delta in (step[axis], -step[axis]):
+                cand = x.copy()
+                cand[axis] = min(max(x[axis] + delta, low[axis]), high[axis])
+                if cand[axis] == x[axis]:
+                    continue
+                value = score(cand)
+                evals += 1
+                if value > best:
+                    x, best = cand, value
+                    improved = True
+                if evals >= max_evals:
+                    return x, best, evals
+        if not improved:
+            step = step * 0.5
+            if np.all(step <= floor):
+                break
+    return x, best, evals
+
+
+def reference_multistart(score, starts, low, high, max_evals):
+    """Per-start loop: every endpoint, the total evaluations and the strict-> winner."""
+    runs = [reference_compass_search(score, s, low, high, max_evals) for s in starts]
+    best_x, best_val = None, -np.inf
+    for x, value, _ in runs:
+        if value > best_val:
+            best_x, best_val = x, value
+    return runs, best_x
+
+
+def rowwise_score(x, plateau=False):
+    """Deterministic row-wise score: a batch row and a lone point get the same bits."""
+    total = np.zeros(len(x))
+    for axis in range(x.shape[1]):
+        z = np.floor(4.0 * x[:, axis]) / 4.0 if plateau else x[:, axis]
+        total = total - (z - 0.3 - 0.1 * axis) ** 2 + 0.2 * np.cos(7.0 * z)
+    return total
+
+
 class TestGpFit:
     def test_interpolation_limit(self):
         kernel = SquaredExponentialKernel(noise_variance=1e-10)
         post = gp_fit([[0.4, 0.6]], [2.5], kernel)
-        mean, variance = gp_predict(post, [0.4, 0.6])
+        (mean,), (variance,) = gp_predict(post, [0.4, 0.6])
         assert mean == pytest.approx(2.5, abs=1e-4)
         assert variance >= 0.0
 
     def test_far_query_reverts_to_prior(self):
         kernel = SquaredExponentialKernel()
         post = gp_fit([[0.0], [0.2]], [3.0, -1.0], kernel)
-        mean, variance = gp_predict(post, [100.0 * kernel.length_scale])
+        (mean,), (variance,) = gp_predict(post, [100.0 * kernel.length_scale])
         assert mean == pytest.approx(0.0, abs=1e-6)
         assert variance == pytest.approx(kernel.signal_variance, abs=1e-6)
 
@@ -50,7 +106,9 @@ class TestGpFit:
         a = d = kernel.signal_variance + kernel.noise_variance
         det = a * d - k01 * k01
         inv = np.array([[d, -k01], [-k01, a]]) / det
-        for x in ([0.3], [0.55], [0.9]):
+        queries = [[0.3], [0.55], [0.9]]
+        means, variances = gp_predict(post, queries)
+        for x, mean, variance in zip(queries, means, variances):
             kstar = np.array(
                 [
                     kernel.signal_variance
@@ -60,7 +118,6 @@ class TestGpFit:
             )
             mean_ref = kstar @ inv @ values
             var_ref = kernel.signal_variance - kstar @ inv @ kstar
-            mean, variance = gp_predict(post, x)
             assert mean == pytest.approx(mean_ref, abs=1e-10)
             assert variance == pytest.approx(var_ref, abs=1e-10)
 
@@ -70,8 +127,9 @@ class TestGpFit:
         values = gen.normal(size=4)
         a = gp_fit(points, values)
         b = gp_fit(points, values)
-        x = gen.random(3)
-        assert gp_predict(a, x) == gp_predict(b, x)
+        x = gen.random((2, 3))
+        for got, want in zip(gp_predict(a, x), gp_predict(b, x)):
+            assert np.array_equal(got, want)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -87,7 +145,7 @@ class TestGpFit:
         points = np.zeros((6, 2))
         post = gp_fit(points, np.ones(6), kernel)
         assert post.noise_variance > 1e-18
-        mean, variance = gp_predict(post, [0.0, 0.0])
+        (mean,), (variance,) = gp_predict(post, [0.0, 0.0])
         assert np.isfinite(mean) and variance >= 0.0
 
 
@@ -100,16 +158,16 @@ class TestGpPredict:
             points = gen.random((m, 2))
             values = gen.normal(size=m)
             post = gp_fit(points, values, kernel)
-            x = gen.random(2)
-            mean_ref, var_ref = direct_prediction(points, values, kernel, x)
-            mean, variance = gp_predict(post, x)
-            assert mean == pytest.approx(mean_ref, abs=1e-8)
-            assert variance == pytest.approx(var_ref, abs=1e-8)
+            queries = gen.random((3, 2))
+            mean, variance = gp_predict(post, queries)
+            for row, x in enumerate(queries):
+                mean_ref, var_ref = direct_prediction(points, values, kernel, x)
+                assert mean[row] == pytest.approx(mean_ref, abs=1e-8)
+                assert variance[row] == pytest.approx(var_ref, abs=1e-8)
 
     def test_variance_lower_at_training_point(self):
         post = gp_fit([[0.5]], [1.0])
-        _, var_near = gp_predict(post, [0.5])
-        _, var_far = gp_predict(post, [50.0])
+        _, (var_near, var_far) = gp_predict(post, [[0.5], [50.0]])
         assert var_near <= var_far
 
     def test_permutation_invariance(self):
@@ -119,29 +177,71 @@ class TestGpPredict:
         perm = gen.permutation(5)
         a = gp_fit(points, values)
         b = gp_fit(points[perm], values[perm])
-        x = gen.random(2)
-        assert gp_predict(a, x)[0] == pytest.approx(gp_predict(b, x)[0], abs=1e-10)
-        assert gp_predict(a, x)[1] == pytest.approx(gp_predict(b, x)[1], abs=1e-10)
+        x = gen.random((4, 2))
+        for got, want in zip(gp_predict(a, x), gp_predict(b, x)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
     def test_dimension_mismatch(self):
         post = gp_fit([[0.1, 0.2]], [1.0])
         with pytest.raises(ValueError):
             gp_predict(post, [0.1])
-
-
-class TestUcb:
-    def test_arithmetic(self):
-        assert ucb(0.5, 0.04, 2.0) == pytest.approx(0.9)
-        assert ucb(0.0, 1.0, 3.0) == pytest.approx(3.0)
-
-    def test_kappa_zero_is_mean(self):
-        assert ucb(-1.25, 0.7, 0.0) == pytest.approx(-1.25)
-
-    def test_rejects_negative_variance(self):
         with pytest.raises(ValueError):
-            ucb(0.0, -0.1, 1.0)
-        with pytest.raises(ValueError):
-            ucb(0.0, 1.0, -1.0)
+            gp_predict(post, np.zeros((3, 3)))
+
+    def test_output_shapes(self):
+        post = gp_fit(np.random.default_rng(5).random((4, 3)), [0.1, -0.2, 0.3, 0.0])
+        for x, m in ((np.zeros((7, 3)), 7), (np.zeros((1, 3)), 1), (np.zeros(3), 1)):
+            mean, variance = gp_predict(post, x)
+            assert mean.shape == variance.shape == (m,)
+            assert mean.dtype == variance.dtype == np.float64
+
+    def test_batch_rows_match_single_point_calls(self):
+        gen = np.random.default_rng(6)
+        for _ in range(40):
+            d, n = int(gen.integers(1, 9)), int(gen.integers(1, 32))
+            kernel = SquaredExponentialKernel(length_scale=float(gen.uniform(0.1, 0.6)))
+            post = gp_fit(gen.random((n, d)), gen.normal(size=n), kernel)
+            queries = np.vstack([gen.random((12, d)), post.points[:3]])
+            mean, variance = gp_predict(post, queries)
+            single = np.array([[v[0] for v in gp_predict(post, x)] for x in queries])
+            np.testing.assert_allclose(mean, single[:, 0], rtol=1e-8, atol=1e-8)
+            np.testing.assert_allclose(variance, single[:, 1], rtol=1e-8, atol=1e-8)
+
+
+class TestCompassSearch:
+    @pytest.mark.parametrize("plateau", [False, True])
+    @pytest.mark.parametrize("max_evals", [1, 2, 5, 13, 200 * 3])
+    def test_matches_per_start_search(self, max_evals, plateau):
+        gen = np.random.default_rng(7)
+        low, high = np.array([0.0, -1.0, 2.0]), np.array([1.0, 0.5, 2.0])  # axis 2 has zero span
+        starts = low + gen.random((9, 3)) * (high - low)
+        starts[0] = low  # on the boundary: the clipped -step moves cost nothing
+        starts[1] = high
+        starts[2, 0] = high[0]
+        self.assert_matches(lambda x: rowwise_score(x, plateau), starts, low, high, max_evals)
+
+    def test_all_starts_on_one_plateau(self):
+        low, high = np.zeros(2), np.ones(2)
+        starts = np.array([[0.1, 0.1], [0.2, 0.2], [0.9, 0.9], [0.1, 0.1]])
+        self.assert_matches(lambda x: np.zeros(len(x)), starts, low, high, 400)
+
+    @staticmethod
+    def assert_matches(score, starts, low, high, max_evals):
+        scored = []
+
+        def counting(x):
+            scored.append(len(x))
+            return score(x)
+
+        x, best = _compass_search(counting, starts, low, high, max_evals)
+        runs, winner = reference_multistart(
+            lambda z: float(score(z[None, :])[0]), starts, low, high, max_evals
+        )
+        for row, (ref_x, ref_best, _) in enumerate(runs):
+            assert np.array_equal(x[row], ref_x)
+            assert best[row] == ref_best
+        assert sum(scored) == sum(evals for _, _, evals in runs)
+        assert np.array_equal(x[np.argmax(best)], winner)
 
 
 class TestMaximizeAcquisition:
@@ -161,9 +261,9 @@ class TestMaximizeAcquisition:
         kernel = SquaredExponentialKernel(length_scale=0.2)
         post = gp_fit([[0.1], [0.45], [0.8]], [0.2, -0.7, 0.9], kernel)
         grid = np.linspace(0.0, 1.0, 2001)
-        acq = np.array([ucb(*gp_predict(post, [g]), 2.0) for g in grid])
+        acq = acquisition_value(post, grid[:, None], 2.0)
         best = maximize_acquisition(post, UNIT_1D, kappa=2.0, seed=1)
-        assert ucb(*gp_predict(post, best), 2.0) >= acq.max() - 1e-6
+        assert acquisition_value(post, best, 2.0)[0] >= acq.max() - 1e-6
 
     def test_result_within_bounds_and_deterministic(self):
         gen = np.random.default_rng(4)
@@ -178,6 +278,11 @@ class TestMaximizeAcquisition:
         post = gp_fit([[0.5]], [0.0])
         with pytest.raises(ValueError):
             maximize_acquisition(post, np.array([[1.0, 0.0]]), kappa=1.0, seed=0)
+
+    def test_rejects_negative_kappa(self):
+        post = gp_fit([[0.5]], [0.0])
+        with pytest.raises(ValueError, match="kappa"):
+            maximize_acquisition(post, UNIT_1D, kappa=-1.0, seed=0)
 
 
 class TestBayesOpt:

@@ -210,17 +210,27 @@ def test_absurd_size_is_runtime_error(tmp_path, capsys, mode, fields):
     assert err.startswith("runtime error: ") and err.count("\n") == 1
 
 
+def retyped(key, value):
+    return key, lambda record: {**record, key: value}
+
+
 @pytest.mark.parametrize(
-    "target, mangle",
+    "target, key, mangle",
     [
-        ("instance", lambda record: {k: v for k, v in record.items() if k != "h"}),
-        ("instance", lambda record: list(record.values())),
-        ("init", lambda record: {k: v for k, v in record.items() if k != "p"}),
-        ("init", lambda record: list(record.values())),
+        ("instance", "h", lambda record: {k: v for k, v in record.items() if k != "h"}),
+        ("instance", None, lambda record: list(record.values())),
+        ("init", "p", lambda record: {k: v for k, v in record.items() if k != "p"}),
+        ("init", None, lambda record: list(record.values())),
+        ("instance", *retyped("n_t", None)),
+        ("instance", *retyped("x_true", None)),
+        ("instance", *retyped("noise_scale", [1])),
+        ("init", *retyped("training_meta", 5)),
     ],
-    ids=["instance-missing-key", "instance-not-object", "init-missing-key", "init-not-object"],
+    ids=["instance-missing-key", "instance-not-object", "init-missing-key", "init-not-object",
+         "instance-null-n_t", "instance-null-x_true", "instance-list-noise_scale",
+         "init-int-training_meta"],
 )
-def test_malformed_record_is_runtime_error(tmp_path, capsys, target, mangle):
+def test_malformed_record_is_runtime_error(tmp_path, capsys, target, key, mangle):
     instances, init_path = tmp_path / "inst.jsonl", tmp_path / "init.json"
     write_instances(instances, [make_identity_instance([1, -1], seed=5)])
     init_path.write_text(json.dumps({"p": 1, "gammas": [0.1], "betas": [0.2], "training_meta": {}}))
@@ -233,6 +243,7 @@ def test_malformed_record_is_runtime_error(tmp_path, capsys, target, mangle):
     assert cli.main(["detect", "--config", config, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"runtime error: {target} record ") and err.count("\n") == 1
+    assert key is None or repr(key) in err
     assert not out.exists()
 
 
