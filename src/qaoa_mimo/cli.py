@@ -6,8 +6,8 @@ readout), ``compare`` (paired trained-vs-random runs with curve and
 summary files), and ``selftest`` (quick internal consistency battery).
 
 Every output is a pure function of the config file plus the master seed;
-records are JSON-lines, curves are CSV, and floats carry 17 significant
-digits so reruns are byte-identical.
+records are JSON-lines, curves are CSV, and floats are written as their
+shortest round-trip repr, so reruns are byte-identical.
 """
 
 import argparse
@@ -31,7 +31,7 @@ from .instances import (
     write_instances,
 )
 from .ising import build_ising, index_to_bitstring, index_to_spins, ising_energy, spins_to_bits
-from .jsonio import SCHEMA_VERSION, dump_line, dumps, format_float
+from .jsonio import SCHEMA_VERSION, dump_line, dumps, format_float, strict_float, strict_int
 from .rng import STREAM_ANTENNA_CHOICE, STREAM_INSTANCE_SEEDS, STREAM_RANDOM_INIT, substream
 from .simulator import (
     DEFAULT_QUBIT_CAP,
@@ -55,8 +55,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 EXIT_PARTIAL = 3
-
-MAX_QUBITS_ENV = "QAOA_MIMO_MAX_QUBITS"
 
 # gen-instances refuses a file of more generated values than this (channel,
 # symbol, noise and received entries, summed over instances): 2^26 values
@@ -86,28 +84,8 @@ def _load_config(path):
     return config
 
 
-def _strict_int(value):
-    """int(value), refusing bools, floats with a fractional part and values beyond int64."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{value!r} is not an integer")
-    value = int(value)
-    if not -(1 << 63) <= value < 1 << 63:
-        raise ValueError(f"{value} is outside the 64-bit integer range")
-    return value
-
-
-def _strict_float(value):
-    """float(value), refusing bools and non-finite values."""
-    if isinstance(value, bool):
-        raise ValueError(f"{value!r} is not a number")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{value!r} is not finite")
-    return value
-
-
 # a kind missing here is a KeyError: a bug in the caller, not a config error
-_CONVERTERS = {int: _strict_int, float: _strict_float}
+_CONVERTERS = {int: strict_int, float: strict_float}
 
 
 def _require(config, key, kind, minimum=None):
@@ -143,14 +121,6 @@ def _resolve_out(config, out_override):
     if not out:
         raise ConfigError("an output path is required (config key 'out' or --out)")
     return out
-
-
-def _resolve_max_qubits(config):
-    env = os.environ.get(MAX_QUBITS_ENV)
-    if env is None:
-        return _optional(config, "max_qubits", int, DEFAULT_QUBIT_CAP, minimum=1)
-    # the environment variable obeys the same rule as the config key
-    return _require({MAX_QUBITS_ENV: env}, MAX_QUBITS_ENV, int, minimum=1)
 
 
 def _resolve_path(config, key):
@@ -206,7 +176,7 @@ def cmd_train_init(config, seed, out):
     t_rounds = _require(config, "t_rounds", int, minimum=1)
     kappa = _optional(config, "kappa", float, 2.0, minimum=0.0)
     n_init = _optional(config, "n_init", int, DEFAULT_TRAIN_N_INIT, minimum=1)
-    max_qubits = _resolve_max_qubits(config)
+    max_qubits = _optional(config, "max_qubits", int, DEFAULT_QUBIT_CAP, minimum=1)
 
     init = train_init(
         instances, p=p, t_rounds=t_rounds, kappa=kappa, seed=seed, n_init=n_init,
@@ -296,7 +266,7 @@ def _detection_runs(config, seed, methods):
         raise ConfigError(f"config key 'tol' must be > 0, got {tol}")
     top_k = _optional(config, "top_k", int, 8, minimum=1)
     bounds = _resolve_bounds(config, p)
-    max_qubits = _resolve_max_qubits(config)
+    max_qubits = _optional(config, "max_qubits", int, DEFAULT_QUBIT_CAP, minimum=1)
     # random starts: one uniform draw over the angle box per instance, in file order
     gen = substream(seed, STREAM_RANDOM_INIT)
     low, span = bounds[:, 0], bounds[:, 1] - bounds[:, 0]

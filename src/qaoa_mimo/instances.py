@@ -8,13 +8,12 @@ detector used as the ground-truth oracle everywhere else.
 
 import json
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .errors import ResourceLimitError
 from .ising import index_to_spins
-from .jsonio import SCHEMA_VERSION, dump_line, read_fields
+from .jsonio import SCHEMA_VERSION, dump_line, float_array, read_fields, strict_float, strict_int
 from .rng import (
     STREAM_CHANNEL,
     STREAM_NOISE,
@@ -50,6 +49,8 @@ class ChannelInstance:
 
     def validate(self):
         """Check the defining invariants; raises ValueError on violation."""
+        if min(self.n_t, self.n_r) < 1:
+            raise ValueError(f"n_t and n_r must be >= 1, got {self.n_t} and {self.n_r}")
         if self.h.shape != (self.n_r, self.n_t):
             raise ValueError(f"h has shape {self.h.shape}, expected ({self.n_r}, {self.n_t})")
         if self.x_true.shape != (self.n_t,) or not np.all(np.abs(self.x_true) == 1):
@@ -57,7 +58,7 @@ class ChannelInstance:
         if self.noise.shape != (self.n_r,) or self.y.shape != (self.n_r,):
             raise ValueError("noise and y must have length n_r")
         residual = self.y - self.h @ self.x_true - self.noise
-        if np.max(np.abs(residual)) > 1e-12:
+        if not np.all(np.abs(residual) <= 1e-12):  # NaN fails too
             raise ValueError("y - h @ x_true - noise is not zero")
 
 
@@ -158,11 +159,18 @@ def instance_to_record(inst):
     }
 
 
+def _spins(values):
+    """x_true as int64, refusing any entry that is not exactly -1 or +1 before the cast."""
+    spins = float_array(values)
+    if not np.all(np.abs(spins) == 1):
+        raise ValueError("entries must be -1 or +1")
+    return spins.astype(np.int64)
+
+
 def instance_from_record(record):
-    floats = partial(np.array, dtype=np.float64)
     fields = read_fields(
-        record, "instance", n_t=int, n_r=int, h=floats, x_true=partial(np.array, dtype=np.int64),
-        noise=floats, y=floats, noise_scale=float, seed=int,
+        record, "instance", n_t=strict_int, n_r=strict_int, h=float_array, x_true=_spins,
+        noise=float_array, y=float_array, noise_scale=strict_float, seed=strict_int,
     )
     fields["h"] = fields["h"].reshape(fields["n_r"], fields["n_t"])
     inst = ChannelInstance(**fields)

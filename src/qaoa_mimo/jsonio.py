@@ -1,72 +1,60 @@
 """Deterministic JSON serialization for experiment records.
 
-Every float is written with 17 significant digits (``%.17g``), which is
-enough to round-trip IEEE-754 doubles exactly, and keys are emitted in
-sorted order.  Two runs that produce the same values therefore produce
-byte-identical files.
+Records are written with sorted keys, no whitespace and every float as
+its shortest round-trip repr (non-finite floats are refused), so two runs
+that produce the same values produce byte-identical files.  Records read
+back obey the config's value rules (strict_int, strict_float).
 """
 
 import json
 import math
 
+import numpy as np
+
 SCHEMA_VERSION = 1
-
-
-def _render_float(value):
-    text = format(value, ".17g")
-    if text.lstrip("-").isdigit():
-        text += ".0"  # keep the value a float across a parse round trip
-    return text
-
-
-def _encode(obj, out):
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=True))
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValueError(f"non-finite float {obj!r} is not serializable")
-        out.append(_render_float(obj))
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(",")
-            _encode(item, out)
-        out.append("]")
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, key in enumerate(sorted(obj)):
-            if i:
-                out.append(",")
-            if not isinstance(key, str):
-                raise TypeError(f"non-string key {key!r}")
-            out.append(json.dumps(key, ensure_ascii=True))
-            out.append(":")
-            _encode(obj[key], out)
-        out.append("}")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def dumps(obj):
     """Serialize ``obj`` to a canonical JSON string (no trailing newline)."""
-    out = []
-    _encode(obj, out)
-    return "".join(out)
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def dump_line(obj, fh):
     """Write one canonical JSON record plus newline (JSON-lines row)."""
     fh.write(dumps(obj))
     fh.write("\n")
+
+
+def format_float(value):
+    """Render a float as its shortest round-trip repr, as dumps does."""
+    return repr(float(value))
+
+
+def strict_int(value):
+    """int(value), refusing bools, floats with a fractional part and values beyond int64."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
+    value = int(value)
+    if not -(1 << 63) <= value < 1 << 63:
+        raise ValueError(f"{value} is outside the 64-bit integer range")
+    return value
+
+
+def strict_float(value):
+    """float(value), refusing bools and non-finite values."""
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{value!r} is not finite")
+    return value
+
+
+def float_array(values):
+    """1-D float64 array of a JSON list, each entry under the strict_float rule."""
+    if not isinstance(values, list):
+        raise TypeError(f"{type(values).__name__} is not a list")
+    return np.array([strict_float(v) for v in values], dtype=np.float64)
 
 
 def read_fields(record, kind, **converters):
@@ -84,11 +72,6 @@ def read_fields(record, kind, **converters):
     for key, convert in converters.items():
         try:
             fields[key] = convert(record[key])
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"{kind} record has a wrong-typed {key!r}: {exc}") from exc
     return fields
-
-
-def format_float(value):
-    """Render a float with the same 17-significant-digit policy as dumps."""
-    return _render_float(float(value))

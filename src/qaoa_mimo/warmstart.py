@@ -8,13 +8,12 @@ transfers as the starting point for larger detection runs.
 
 import json
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .bayesopt import SquaredExponentialKernel, bayes_opt
 from .ising import build_ising
-from .jsonio import SCHEMA_VERSION, dumps, read_fields
+from .jsonio import SCHEMA_VERSION, dumps, float_array, read_fields, strict_int
 from .simulator import DEFAULT_QUBIT_CAP, QaoaParams, expectation
 
 DEFAULT_GAMMA_MAX = np.pi / 8
@@ -122,8 +121,9 @@ def init_params_to_record(init):
 
 
 def init_params_from_record(record):
-    floats = partial(np.array, dtype=np.float64)
-    fields = read_fields(record, "init", p=int, gammas=floats, betas=floats, training_meta=dict)
+    fields = read_fields(
+        record, "init", p=strict_int, gammas=float_array, betas=float_array, training_meta=dict
+    )
     if fields["gammas"].shape != (fields["p"],) or fields["betas"].shape != (fields["p"],):
         raise ValueError("angle vectors do not match the recorded depth")
     return InitParams(**fields)

@@ -225,10 +225,20 @@ def retyped(key, value):
         ("instance", *retyped("x_true", None)),
         ("instance", *retyped("noise_scale", [1])),
         ("init", *retyped("training_meta", 5)),
+        ("instance", *retyped("n_t", 2.7)),
+        ("instance", *retyped("seed", True)),
+        ("instance", *retyped("x_true", [1.4, -1.4])),
+        ("init", *retyped("p", 1.5)),
+        ("instance", *retyped("h", [float("nan"), 0.0, 0.0, 1.0])),
+        ("instance", *retyped("y", [float("inf"), -1.0])),
+        ("instance", *retyped("noise_scale", float("nan"))),
+        ("init", *retyped("gammas", [float("nan")])),
     ],
     ids=["instance-missing-key", "instance-not-object", "init-missing-key", "init-not-object",
          "instance-null-n_t", "instance-null-x_true", "instance-list-noise_scale",
-         "init-int-training_meta"],
+         "init-int-training_meta", "instance-fractional-n_t", "instance-bool-seed",
+         "instance-fractional-x_true", "init-fractional-p", "instance-nan-h", "instance-inf-y",
+         "instance-nan-noise_scale", "init-nan-gammas"],
 )
 def test_malformed_record_is_runtime_error(tmp_path, capsys, target, key, mangle):
     instances, init_path = tmp_path / "inst.jsonl", tmp_path / "init.json"
@@ -386,17 +396,17 @@ class TestDetect:
         )
         assert cli.main(["detect", "--config", config, "--out", "x.jsonl"]) == 1
 
-    def test_qubit_cap_env_var_causes_partial_failure(self, tmp_path, monkeypatch):
+    def test_qubit_cap_key_causes_partial_failure(self, tmp_path):
         instances_path = tmp_path / "inst.jsonl"
         cli.main([
             "gen-instances",
             "--config", write_config(tmp_path, "g.json", count=2, n_t=6, seed=8),
             "--out", str(instances_path),
         ])
-        monkeypatch.setenv(cli.MAX_QUBITS_ENV, "3")
         out = tmp_path / "reports.jsonl"
         config = write_config(
-            tmp_path, "detect.json", instances=str(instances_path), p=2, budget=20, seed=4
+            tmp_path, "detect.json", instances=str(instances_path), p=2, budget=20, seed=4,
+            max_qubits=3,
         )
         assert cli.main(["detect", "--config", config, "--out", str(out)]) == 3
         reports = read_jsonl(out)
@@ -404,14 +414,15 @@ class TestDetect:
         assert all("error" in r for r in reports)
         assert "exceeds the simulator cap" in reports[0]["error"]
 
-    @pytest.mark.parametrize("cap", ["0", "-1", "three"])
-    def test_bad_qubit_cap_env_var_is_config_error(self, tmp_path, monkeypatch, cap):
+    @pytest.mark.parametrize("cap", [0, -1, "three"])
+    def test_bad_qubit_cap_key_is_config_error(self, tmp_path, cap):
         inst = make_identity_instance([1, -1], seed=5)
         instances = tmp_path / "inst.jsonl"
         write_instances(instances, [inst])
-        monkeypatch.setenv(cli.MAX_QUBITS_ENV, cap)
         out = tmp_path / "reports.jsonl"
-        config = write_config(tmp_path, "detect.json", instances=str(instances), p=1, seed=4)
+        config = write_config(
+            tmp_path, "detect.json", instances=str(instances), p=1, seed=4, max_qubits=cap
+        )
         assert cli.main(["detect", "--config", config, "--out", str(out)]) == 1
         assert not out.exists()
 
@@ -477,10 +488,11 @@ class TestCompare:
         assert summary["n_instances"] == 3
         assert summary["n_paired"] == 3
 
-    def test_qubit_cap_fails_every_run(self, tmp_path, monkeypatch):
+    def test_qubit_cap_fails_every_run(self, tmp_path):
         count = 2
         config = self.setup_run(tmp_path, count=count, n_t=4)
-        monkeypatch.setenv(cli.MAX_QUBITS_ENV, "3")
+        with open(config) as fh:
+            config = write_config(tmp_path, "cmp.json", **json.load(fh), max_qubits=3)
         out = tmp_path / "cmp"
         assert cli.main(["compare", "--config", config, "--out", str(out)]) == 3
         reports = read_jsonl(out / "reports.jsonl")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -213,3 +215,8 @@ class TestInstanceFiles:
         path.write_text(jsonio.dumps(record) + "\n")
         with pytest.raises(ValueError):
             read_instances(path)
+        with pytest.raises(ValueError):  # a NaN residual is not zero either
+            dataclasses.replace(inst, noise=np.full(2, np.nan)).validate()
+        empty = dict(record, n_t=0, n_r=0, h=[], x_true=[], noise=[], y=[])
+        with pytest.raises(ValueError, match="must be >= 1"):
+            instance_from_record(empty)
