@@ -8,6 +8,11 @@ summary files), and ``selftest`` (quick internal consistency battery).
 Every output is a pure function of the config file plus the master seed;
 records are JSON-lines, curves are CSV, and floats are written as their
 shortest round-trip repr, so reruns are byte-identical.
+
+``detect`` and ``compare`` run their instances in parallel: one forked
+worker process per CPU in the process's affinity mask, at most one per
+instance, each task one instance with all its methods.  Rows are written
+in file order, so the output bytes do not depend on the worker count.
 """
 
 import argparse
@@ -67,6 +72,14 @@ RANDOM_INIT = "random-init"
 
 class ConfigError(Exception):
     """Invalid or incomplete run configuration."""
+
+
+class WorkerError(Exception):
+    """A worker process running detection tasks died before returning."""
+
+
+# What every detection run of one command shares, built once from the config.
+DetectionSettings = namedtuple("DetectionSettings", "methods bounds budget tol top_k max_qubits")
 
 
 def _load_config(path):
@@ -209,17 +222,19 @@ def _top_indices(probs, k):
     return candidates[np.argsort(-probs[candidates], kind="stable")[:k]]
 
 
-def _run_detection(inst, model, oracle, theta0, method, bounds, budget, tol, top_k, max_qubits):
+def _run_detection(inst, model, oracle, theta0, method, settings):
     """Refine angles on one instance and assemble its report record."""
 
     def objective(theta):
-        return simulator_expectation(model, QaoaParams.from_vector(theta), max_qubits)
+        return simulator_expectation(model, QaoaParams.from_vector(theta), settings.max_qubits)
 
-    trace = localopt.minimize(objective, theta0, bounds=bounds, budget=budget, tol=tol)
-    state = qaoa_state(model, QaoaParams.from_vector(trace.best_point), max_qubits)
+    trace = localopt.minimize(
+        objective, theta0, bounds=settings.bounds, budget=settings.budget, tol=settings.tol
+    )
+    state = qaoa_state(model, QaoaParams.from_vector(trace.best_point), settings.max_qubits)
     probs = state.amplitudes.real**2 + state.amplitudes.imag**2
 
-    order = _top_indices(probs, top_k)
+    order = _top_indices(probs, settings.top_k)
     argmax_index = int(np.argmax(probs))
     decoded = index_to_spins(argmax_index, model.n)
     x_best, ml_value = oracle
@@ -251,13 +266,59 @@ def _run_detection(inst, model, oracle, theta0, method, bounds, budget, tol, top
     return report, trace
 
 
-def _detection_runs(config, seed, methods):
-    """Check a detection config, then return its instances and a generator
-    of one (report, trace) per instance and method, in file order.
+def _detect_instance(inst, starts, settings):
+    """Run each of ``settings.methods`` on one instance from its entry in
+    ``starts``; return one (report, trace) per method, in method order.
 
-    Each instance's Ising model and brute-force oracle are built once and
-    shared by its methods.  A failed run yields an error row and trace None.
+    The instance's Ising model and brute-force oracle are built once and
+    shared by its methods.  A failed run gives an error row and trace None.
     """
+    try:
+        model = build_ising(inst)
+        oracle = brute_force_detect(inst)
+    except Exception as exc:
+        return [(_error_row(inst, method, exc), None) for method in settings.methods]
+    runs = []
+    for method, theta0 in zip(settings.methods, starts):
+        try:
+            runs.append(_run_detection(inst, model, oracle, theta0, method, settings))
+        except Exception as exc:
+            runs.append((_error_row(inst, method, exc), None))
+    return runs
+
+
+def _map_instances(instances, starts, settings):
+    """Yield _detect_instance's result for each instance, in file order.
+
+    With more than one CPU in the process's affinity mask, forked worker
+    processes run the instances in parallel, one task per instance and at
+    most one worker per CPU and per instance.  Each task computes exactly
+    what the serial loop does, so the results do not depend on the count.
+    """
+    tasks = (instances, starts, [settings] * len(instances))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(instances))
+    if workers <= 1:
+        yield from map(_detect_instance, *tasks)
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # fork: a worker starts from this process's memory instead of importing numpy and
+    # scipy again, and this process has started no Python thread of its own by now
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        yield from pool.map(_detect_instance, *tasks)
+    except BrokenProcessPool as exc:
+        raise WorkerError(f"a detection worker process died: {exc}") from exc
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _detection_runs(config, seed, methods):
+    """Check a detection config, then return its instances and an iterator
+    of one (report, trace) per instance and method, in file order."""
     instances = read_instances(_resolve_path(config, "instances"))
     p = _require(config, "p", int, minimum=1)
     budget = _optional(config, "budget", int, 150, minimum=1)
@@ -277,26 +338,10 @@ def _detection_runs(config, seed, methods):
             raise ConfigError(f"init file has p={init.p} but config requests p={p}")
         starts[TRAINED_INIT] = [init.to_vector()] * len(instances)
 
-    def runs():
-        for k, inst in enumerate(instances):
-            try:
-                model = build_ising(inst)
-                oracle = brute_force_detect(inst)
-            except Exception as exc:
-                for method in methods:
-                    yield _error_row(inst, method, exc), None
-                continue
-            for method in methods:
-                try:
-                    run = _run_detection(
-                        inst, model, oracle, starts[method][k], method,
-                        bounds, budget, tol, top_k, max_qubits,
-                    )
-                except Exception as exc:
-                    run = _error_row(inst, method, exc), None
-                yield run
-
-    return instances, runs()
+    settings = DetectionSettings(methods, bounds, budget, tol, top_k, max_qubits)
+    per_instance = list(zip(*(starts[method] for method in methods)))
+    results = _map_instances(instances, per_instance, settings)
+    return instances, (run for runs in results for run in runs)
 
 
 def cmd_detect(config, seed, out):
@@ -521,7 +566,7 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ResourceLimitError, ObjectiveEvaluationError, np.linalg.LinAlgError, ValueError,
-            MemoryError) as exc:
+            MemoryError, WorkerError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except OSError as exc:

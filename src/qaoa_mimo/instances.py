@@ -172,6 +172,11 @@ def instance_from_record(record):
         record, "instance", n_t=strict_int, n_r=strict_int, h=float_array, x_true=_spins,
         noise=float_array, y=float_array, noise_scale=strict_float, seed=strict_int,
     )
+    entries = fields["n_r"] * fields["n_t"]
+    if fields["h"].size != entries:
+        raise ValueError(
+            f"instance record has {fields['h'].size} entries in 'h', expected n_r * n_t = {entries}"
+        )
     fields["h"] = fields["h"].reshape(fields["n_r"], fields["n_t"])
     inst = ChannelInstance(**fields)
     inst.validate()

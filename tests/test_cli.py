@@ -233,12 +233,13 @@ def retyped(key, value):
         ("instance", *retyped("y", [float("inf"), -1.0])),
         ("instance", *retyped("noise_scale", float("nan"))),
         ("init", *retyped("gammas", [float("nan")])),
+        ("instance", *retyped("h", [1.0, 0.0, 0.0])),
     ],
     ids=["instance-missing-key", "instance-not-object", "init-missing-key", "init-not-object",
          "instance-null-n_t", "instance-null-x_true", "instance-list-noise_scale",
          "init-int-training_meta", "instance-fractional-n_t", "instance-bool-seed",
          "instance-fractional-x_true", "init-fractional-p", "instance-nan-h", "instance-inf-y",
-         "instance-nan-noise_scale", "init-nan-gammas"],
+         "instance-nan-noise_scale", "init-nan-gammas", "instance-short-h"],
 )
 def test_malformed_record_is_runtime_error(tmp_path, capsys, target, key, mangle):
     instances, init_path = tmp_path / "inst.jsonl", tmp_path / "init.json"
@@ -414,6 +415,20 @@ class TestDetect:
         assert all("error" in r for r in reports)
         assert "exceeds the simulator cap" in reports[0]["error"]
 
+    def test_one_instance_starts_no_worker_process(self, tmp_path):
+        instances = tmp_path / "inst.jsonl"
+        write_instances(instances, [make_identity_instance([1, -1, 1], seed=5)])
+        config = write_config(tmp_path, "d.json", instances=str(instances), p=1, budget=5, seed=4)
+        out = str(tmp_path / "reports.jsonl")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        script = (
+            f"import sys; sys.path.insert(0, {src!r}); from qaoa_mimo import cli; "
+            f"assert cli.main(['detect', '--config', {config!r}, '--out', {out!r}]) == 0; "
+            "sys.exit('multiprocessing' in sys.modules)"
+        )
+        assert subprocess.run([sys.executable, "-c", script], timeout=60).returncode == 0
+        assert len(read_jsonl(out)) == 1
+
     @pytest.mark.parametrize("cap", [0, -1, "three"])
     def test_bad_qubit_cap_key_is_config_error(self, tmp_path, cap):
         inst = make_identity_instance([1, -1], seed=5)
@@ -508,21 +523,75 @@ class TestCompare:
     def test_model_and_oracle_built_once_per_instance(self, tmp_path, monkeypatch):
         count = 3
         config = self.setup_run(tmp_path, count=count)
-        calls = {"build_ising": 0, "brute_force_detect": 0}
+        # one line per call, appended by whichever process makes it (the parent or a worker)
+        log = tmp_path / "calls.log"
 
         def counted(name):
             original = getattr(cli, name)
 
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                with open(log, "a") as fh:
+                    fh.write(f"{name}\n")
                 return original(*args, **kwargs)
 
             return wrapper
 
-        for name in calls:
+        names = ("build_ising", "brute_force_detect")
+        for name in names:
             monkeypatch.setattr(cli, name, counted(name))
         assert cli.main(["compare", "--config", config, "--out", str(tmp_path / "cmp")]) == 0
+        lines = log.read_text().splitlines()
+        calls = {name: lines.count(name) for name in names}
         assert calls == {"build_ising": count, "brute_force_detect": count}
+
+    def test_outputs_do_not_depend_on_worker_count(self, tmp_path, monkeypatch):
+        config = self.setup_run(tmp_path, count=6, n_t=[2, 3, 4])
+        with open(config) as fh:
+            fields = {**json.load(fh), "max_qubits": 3}
+        compare = write_config(tmp_path, "cmp.json", **fields)
+        detect = write_config(tmp_path, "det.json", **{k: v for k, v in fields.items() if k != "init"})
+        n_ts = [inst.n_t for inst in read_instances(tmp_path / "inst.jsonl")]
+        assert 4 in n_ts and min(n_ts) <= 3  # some instances exceed the cap, some do not
+
+        results = {}
+        for cpus in (1, 4):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+            out = tmp_path / f"cpus-{cpus}"
+            codes = (
+                cli.main(["compare", "--config", compare, "--out", str(out / "cmp")]),
+                cli.main(["detect", "--config", detect, "--out", str(out / "det.jsonl")]),
+            )
+            files = {
+                path.relative_to(out).as_posix(): path.read_bytes()
+                for path in sorted(out.rglob("*")) if path.is_file()
+            }
+            results[cpus] = codes, files
+        assert results[1] == results[4]
+        codes, files = results[1]
+        assert codes == (3, 3)
+        assert set(files) == {"cmp/reports.jsonl", "cmp/curves.csv", "cmp/summary.json", "det.jsonl"}
+        errors = [b'"error"' in line for line in files["det.jsonl"].splitlines()]
+        assert any(errors) and not all(errors)
+
+    def test_dead_worker_is_runtime_error(self, tmp_path):
+        config = self.setup_run(tmp_path, count=3)
+        doomed = read_instances(tmp_path / "inst.jsonl")[1].seed
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        out = str(tmp_path / "cmp")
+        # forked workers inherit the patched build_ising; the one that runs the doomed
+        # instance exits without returning its result
+        script = (
+            f"import os, sys; sys.path.insert(0, {src!r}); from qaoa_mimo import cli\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "build = cli.build_ising\n"
+            f"cli.build_ising = lambda inst: os._exit(1) if inst.seed == {doomed} else build(inst)\n"
+            f"sys.exit(cli.main(['compare', '--config', {config!r}, '--out', {out!r}]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("runtime error: ") and proc.stderr.count("\n") == 1
 
     def test_rerun_byte_identical(self, tmp_path):
         config = self.setup_run(tmp_path, count=2)
