@@ -549,7 +549,8 @@ class TestCompare:
         with open(config) as fh:
             fields = {**json.load(fh), "max_qubits": 3}
         compare = write_config(tmp_path, "cmp.json", **fields)
-        detect = write_config(tmp_path, "det.json", **{k: v for k, v in fields.items() if k != "init"})
+        random_only = {k: v for k, v in fields.items() if k != "init"}
+        detect = write_config(tmp_path, "det.json", **random_only)
         n_ts = [inst.n_t for inst in read_instances(tmp_path / "inst.jsonl")]
         assert 4 in n_ts and min(n_ts) <= 3  # some instances exceed the cap, some do not
 
@@ -569,7 +570,9 @@ class TestCompare:
         assert results[1] == results[4]
         codes, files = results[1]
         assert codes == (3, 3)
-        assert set(files) == {"cmp/reports.jsonl", "cmp/curves.csv", "cmp/summary.json", "det.jsonl"}
+        assert set(files) == {
+            "cmp/reports.jsonl", "cmp/curves.csv", "cmp/summary.json", "det.jsonl"
+        }
         errors = [b'"error"' in line for line in files["det.jsonl"].splitlines()]
         assert any(errors) and not all(errors)
 
@@ -584,7 +587,8 @@ class TestCompare:
             f"import os, sys; sys.path.insert(0, {src!r}); from qaoa_mimo import cli\n"
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
             "build = cli.build_ising\n"
-            f"cli.build_ising = lambda inst: os._exit(1) if inst.seed == {doomed} else build(inst)\n"
+            "cli.build_ising = lambda inst: "
+            f"os._exit(1) if inst.seed == {doomed} else build(inst)\n"
             f"sys.exit(cli.main(['compare', '--config', {config!r}, '--out', {out!r}]))\n"
         )
         proc = subprocess.run(
