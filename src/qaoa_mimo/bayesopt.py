@@ -5,10 +5,13 @@ kernel and fixed hyperparameters; the loop proposes each new point by
 maximizing mean + kappa * std over the search box.  Everything is
 deterministic in the caller's seed: quasi-random initial design,
 multi-start pattern search for the acquisition, and the Philox
-substreams behind both.  scipy is slow to import, so each function
-imports the parts it uses and importing this module loads none of it.
+substreams behind both.  The design is Owen's scrambled Halton (Owen 2017),
+drawn in numpy bit-identically to scipy.stats.qmc.Halton(d, scramble=True,
+seed=s) under scipy 1.17.1, so scipy.stats is never imported; functions
+import the rest of scipy they use, so importing this module loads none of it.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -185,7 +188,7 @@ def bayes_opt(objective, bounds, t_rounds, kappa=2.0, n_init=5, seed=0, kernel=N
     recorded history is in original coordinates and raw values.
 
     Raises ObjectiveEvaluationError (with the partial history attached)
-    if the objective fails.
+    if the objective raises or returns a non-finite value.
     """
     if t_rounds < 1:
         raise ValueError(f"t_rounds must be >= 1, got {t_rounds}")
@@ -198,10 +201,8 @@ def bayes_opt(objective, bounds, t_rounds, kappa=2.0, n_init=5, seed=0, kernel=N
     low, span = bounds[:, 0], bounds[:, 1] - bounds[:, 0]
     d = low.size
 
-    from scipy.stats import qmc
-
     gen = substream(seed, STREAM_BAYESOPT)
-    halton = qmc.Halton(d=d, scramble=True, seed=int(gen.integers(2**63)))
+    halton = _ScrambledHalton(d, seed=int(gen.integers(2**63)))
     unit_points = [z for z in halton.random(n_init)]
     trials = []
 
@@ -209,6 +210,8 @@ def bayes_opt(objective, bounds, t_rounds, kappa=2.0, n_init=5, seed=0, kernel=N
         x = low + z * span
         try:
             value = float(objective(x))
+            if not np.isfinite(value):
+                raise ValueError(f"non-finite value {value}")
         except Exception as exc:
             raise ObjectiveEvaluationError(
                 f"objective failed at trial {len(trials) + 1}: {exc}",
@@ -237,6 +240,37 @@ def bayes_opt(objective, bounds, t_rounds, kappa=2.0, n_init=5, seed=0, kernel=N
         unit_points.append(z_next)
         evaluate(z_next)
     return _finish(trials)
+
+
+class _ScrambledHalton:
+    """Owen's scrambled Halton sequence in [0, 1)^d: coordinate k in the k-th prime
+    base b, digit j of each index mapped through its own shuffle of range(b).
+    Draws repeat scipy.stats.qmc.Halton(d, scramble=True, seed=seed) bit for bit."""
+
+    def __init__(self, d, seed):
+        rng = np.random.default_rng(seed)
+        self._perms, self._drawn, base = [], 0, 1
+        while len(self._perms) < d:  # the bases are the primes, each its rows' length
+            base += 1
+            if all(base % rows.shape[1] for rows in self._perms):
+                # one digit per power base**-j above 2**-54, the finest a double resolves
+                rows = np.tile(np.arange(base), (math.ceil(54 / math.log2(base)) - 1, 1))
+                for row in rows:
+                    rng.shuffle(row)
+                self._perms.append(rows)
+
+    def random(self, n):
+        """The next ``n`` points of the sequence, as an (n, d) array."""
+        index = np.arange(self._drawn, self._drawn + n)
+        self._drawn += n
+        points = np.zeros((n, len(self._perms)))
+        for k, perms in enumerate(self._perms):
+            quotient, scale = index, 1.0 / perms.shape[1]
+            for perm in perms:
+                quotient, digit = np.divmod(quotient, perms.shape[1])
+                points[:, k] += perm[digit] * scale
+                scale /= perms.shape[1]
+        return points
 
 
 def _finish(trials):

@@ -323,10 +323,11 @@ def _detection_runs(config, seed, methods):
     p = _require(config, "p", int, minimum=1)
     budget = _optional(config, "budget", int, 150, minimum=1)
     tol = _optional(config, "tol", float, 1e-6)
-    if tol <= 0:
-        raise ConfigError(f"config key 'tol' must be > 0, got {tol}")
     top_k = _optional(config, "top_k", int, 8, minimum=1)
     bounds = _resolve_bounds(config, p)
+    radius = localopt.initial_radius(bounds)  # COBYLA ignores a tol above it
+    if not 0 < tol <= radius:
+        raise ConfigError(f"config key 'tol' must be in (0, {radius}], got {tol}")
     max_qubits = _optional(config, "max_qubits", int, DEFAULT_QUBIT_CAP, minimum=1)
     # random starts: one uniform draw over the angle box per instance, in file order
     gen = substream(seed, STREAM_RANDOM_INIT)

@@ -40,27 +40,29 @@ class OptTrace:
     reason: str
 
 
-def minimize(objective, x0, bounds=None, budget=150, tol=1e-6):
-    """Minimize ``objective`` from ``x0`` with at most ``budget`` evaluations.
+def initial_radius(bounds=None):
+    """COBYLA's initial trust radius for a (d, 2) box: 0.5, shrunk to half the
+    narrowest positive span so the first probes stay near the box.  A ``tol``
+    above it is not a valid final radius."""
+    span = np.inf if bounds is None else float(np.min(bounds[:, 1] - bounds[:, 0]))
+    return min(0.5, 0.5 * span) if span > 0 else 0.5
 
-    The initial trust-region radius is 0.5, shrunk to half the narrowest
-    box span so the first probes stay near the box.
-    Deterministic given identical inputs.  If the objective raises, the
-    run aborts and ObjectiveEvaluationError carries the partial trace.
+
+def minimize(objective, x0, bounds=None, budget=150, tol=1e-6):
+    """Minimize ``objective`` from ``x0`` with at most ``budget`` evaluations,
+    starting at trust radius ``initial_radius(bounds)``; deterministic given
+    identical inputs.  If the objective raises or returns a non-finite value,
+    the run aborts and ObjectiveEvaluationError carries the partial trace.
     """
     from scipy.optimize import minimize as _scipy_minimize
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     x0 = np.asarray(x0, dtype=np.float64)
-    rhobeg = 0.5
     if bounds is not None:
         bounds = np.asarray(bounds, dtype=np.float64)
         if bounds.shape != (x0.size, 2):
             raise ValueError(f"bounds must have shape ({x0.size}, 2)")
         low, high = bounds[:, 0], bounds[:, 1]
-        span = float(np.min(high - low))
-        if span > 0:
-            rhobeg = min(rhobeg, 0.5 * span)
 
     evaluations = []
 
@@ -70,6 +72,8 @@ def minimize(objective, x0, bounds=None, budget=150, tol=1e-6):
         x = np.asarray(x, dtype=np.float64)
         try:
             value = float(objective(x))
+            if not np.isfinite(value):
+                raise ValueError(f"non-finite value {value}")
         except Exception as exc:
             raise ObjectiveEvaluationError(
                 f"objective failed after {len(evaluations)} evaluations: {exc}",
@@ -89,7 +93,7 @@ def minimize(objective, x0, bounds=None, budget=150, tol=1e-6):
             x0,
             method="COBYLA",
             tol=tol,
-            options={"maxiter": max(budget, x0.size + 2), "rhobeg": rhobeg},
+            options={"maxiter": max(budget, x0.size + 2), "rhobeg": initial_radius(bounds)},
         )
     except _BudgetSpent:
         return _trace(evaluations, converged=False, reason="budget")

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
 from qaoa_mimo.bayesopt import (
     SquaredExponentialKernel,
     _compass_search,
+    _ScrambledHalton,
     bayes_opt,
     gp_fit,
     gp_predict,
     maximize_acquisition,
 )
 from qaoa_mimo.errors import ObjectiveEvaluationError
+from qaoa_mimo.rng import STREAM_BAYESOPT, substream
 
 UNIT_1D = np.array([[0.0, 1.0]])
 UNIT_2D = np.array([[0.0, 1.0], [0.0, 1.0]])
@@ -340,8 +343,43 @@ class TestBayesOpt:
             bayes_opt(flaky, UNIT_1D, t_rounds=5, n_init=5, seed=5)
         assert len(err.value.history.trials) == 3
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_value_is_objective_failure(self, bad):
+        calls = []
+
+        def overflowing(x):
+            calls.append(1)
+            return bad if len(calls) == 3 else float(x[0])
+
+        with pytest.raises(ObjectiveEvaluationError, match="non-finite") as err:
+            bayes_opt(overflowing, UNIT_1D, t_rounds=5, n_init=5, seed=5)
+        assert len(err.value.history.trials) == 2
+
+    def test_constant_objective_evaluates_the_scipy_halton_design(self):
+        # constant values give the GP no signal, so every round falls back to
+        # the next design point, continuing the initial draw
+        bounds = np.array([[-1.0, 2.0], [0.0, 0.5], [10.0, 11.0]])
+        seed, n_init, t_rounds = 6, 4, 7
+        history = bayes_opt(lambda x: 1.0, bounds, t_rounds=t_rounds, n_init=n_init, seed=seed)
+        halton_seed = int(substream(seed, STREAM_BAYESOPT).integers(2**63))
+        halton = qmc.Halton(d=3, scramble=True, seed=halton_seed)
+        design = [halton.random(n_init)] + [halton.random(1) for _ in range(t_rounds)]
+        expected = bounds[:, 0] + np.vstack(design) * (bounds[:, 1] - bounds[:, 0])
+        assert np.array_equal(np.array([x for x, _ in history.trials]), expected)
+
     def test_round_and_init_validation(self):
         with pytest.raises(ValueError):
             bayes_opt(lambda x: 0.0, UNIT_1D, t_rounds=0)
         with pytest.raises(ValueError):
             bayes_opt(lambda x: 0.0, UNIT_1D, t_rounds=1, n_init=0)
+
+
+class TestScrambledHalton:
+    @pytest.mark.parametrize("d", list(range(1, 17)) + [40])
+    def test_bit_identical_to_scipy(self, d):
+        for seed in (0, 1, 12345, 2**62 + 7):
+            ours, theirs = _ScrambledHalton(d, seed), qmc.Halton(d=d, scramble=True, seed=seed)
+            for n in (20, 1, 1, 5, 300):
+                a, b = ours.random(n), theirs.random(n)
+                assert a.shape == b.shape == (n, d)
+                assert a.tobytes() == b.tobytes(), (seed, n)

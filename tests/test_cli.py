@@ -189,6 +189,28 @@ def test_non_positive_tol_is_config_error(tmp_path, capsys, tol):
     assert not out.exists()
 
 
+def test_tol_above_initial_trust_radius_is_config_error(tmp_path, capsys):
+    # the default phase window is [0, pi/8], so COBYLA starts at radius pi/16 ~ 0.196
+    instances = tmp_path / "inst.jsonl"
+    write_instances(instances, [make_identity_instance([1, -1], seed=5)])
+    config = write_config(tmp_path, "d.json", instances=str(instances), p=1, seed=1, tol=0.3)
+    out = tmp_path / "out.jsonl"
+    assert cli.main(["detect", "--config", config, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "'tol' must be in (0, 0.19634954084936207]" in err
+    assert not out.exists()
+
+
+def write_overflowing_config(tmp_path, **fields):
+    """Generated instances with a phase window so wide that <H_C> overflows to NaN."""
+    instances = tmp_path / "inst.jsonl"
+    gen = write_config(tmp_path, "gen.json", count=2, n_t=2, seed=1)
+    assert cli.main(["gen-instances", "--config", gen, "--out", str(instances)]) == 0
+    return write_config(
+        tmp_path, "run.json", instances=str(instances), p=1, seed=1, gamma_max=1e308, **fields
+    )
+
+
 # Arrays numpy refuses before allocating anything: each is larger than
 # the 47-bit (128 TiB) address space, whatever the kernel's overcommit rule.
 @pytest.mark.parametrize(
@@ -293,6 +315,16 @@ class TestTrainInit:
         cli.main(["train-init", "--config", config, "--out", str(out_a)])
         cli.main(["train-init", "--config", config, "--out", str(out_b)])
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_non_finite_objective_is_runtime_error(self, tmp_path, capsys):
+        config = write_overflowing_config(tmp_path, t_rounds=1, n_init=2)
+        out = tmp_path / "init.json"
+        assert cli.main(["train-init", "--config", config, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: objective failed") and "non-finite" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_zero_rounds_rejected(self, tmp_path):
         instances = self.make_instances(tmp_path)
@@ -440,6 +472,15 @@ class TestDetect:
         )
         assert cli.main(["detect", "--config", config, "--out", str(out)]) == 1
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_non_finite_objective_writes_error_rows(self, tmp_path):
+        config = write_overflowing_config(tmp_path, budget=10)
+        out = tmp_path / "reports.jsonl"
+        assert cli.main(["detect", "--config", config, "--out", str(out)]) == 3
+        reports = read_jsonl(out)
+        assert len(reports) == 2
+        assert all("non-finite value nan" in r["error"] for r in reports)
 
 
 class TestCompare:
@@ -608,11 +649,12 @@ class TestCompare:
 
 class TestSelftestAndErrors:
     @staticmethod
-    def exit_code_without_scipy(code):
-        """Run code in a fresh interpreter; exit 1 if it raised or loaded any of scipy."""
+    def exit_code_without_scipy(code, module="scipy"):
+        """Run code in a fresh interpreter; exit 1 if it raised or loaded ``module``
+        (by default any of scipy)."""
         src = os.path.dirname(os.path.dirname(cli.__file__))
         script = f"import sys; sys.path.insert(0, {src!r}); {code}; "
-        script += "sys.exit('scipy' in sys.modules)"
+        script += f"sys.exit({module!r} in sys.modules)"
         return subprocess.run([sys.executable, "-c", script], timeout=60).returncode
 
     def test_cli_import_leaves_scipy_stats_unloaded(self):
@@ -627,6 +669,24 @@ class TestSelftestAndErrors:
         )
         assert self.exit_code_without_scipy(code) == 0
         assert os.path.exists(out)
+
+    def test_train_init_leaves_scipy_stats_unloaded(self, tmp_path):
+        instances = tmp_path / "inst.jsonl"
+        write_instances(instances, [make_identity_instance([1, -1], seed=5)])
+        config = write_config(
+            tmp_path, "t.json", instances=str(instances), p=1, t_rounds=2, n_init=2, seed=3
+        )
+        out = str(tmp_path / "init.json")
+        code = (
+            "from qaoa_mimo import cli; "
+            f"assert cli.main(['train-init', '--config', {config!r}, '--out', {out!r}]) == 0"
+        )
+        assert self.exit_code_without_scipy(code, "scipy.stats") == 0
+        assert os.path.exists(out)
+
+    def test_selftest_leaves_scipy_stats_unloaded(self):
+        code = "from qaoa_mimo import cli; assert cli.main(['selftest', '--seed', '3']) == 0"
+        assert self.exit_code_without_scipy(code, "scipy.stats") == 0
 
     def test_selftest_passes(self, capsys):
         assert cli.main(["selftest", "--seed", "3"]) == 0

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qaoa_mimo.errors import ObjectiveEvaluationError
-from qaoa_mimo.localopt import PENALTY_WEIGHT, minimize
+from qaoa_mimo.localopt import PENALTY_WEIGHT, initial_radius, minimize
+from qaoa_mimo.warmstart import angle_bounds
 
 
 def quadratic(x):
@@ -87,6 +88,35 @@ class TestMinimize:
             minimize(flaky, [0.0, 0.0], budget=50)
         assert len(err.value.history.evaluations) == 4
         assert err.value.history.reason == "objective failure"
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_value_is_objective_failure(self, bad):
+        calls = []
+
+        def overflowing(x):
+            calls.append(1)
+            return bad if len(calls) == 5 else quadratic(x)
+
+        with pytest.raises(ObjectiveEvaluationError, match="non-finite") as err:
+            minimize(overflowing, [0.0, 0.0], budget=50)
+        assert len(err.value.history.evaluations) == 4
+        assert err.value.history.reason == "objective failure"
+
+    def test_initial_radius(self):
+        assert initial_radius(None) == 0.5
+        assert initial_radius(np.array([[0.0, 4.0], [1.0, 2.0]])) == 0.5
+        assert initial_radius(np.array([[0.0, 0.3], [0.0, 4.0]])) == 0.15
+        assert initial_radius(np.array([[0.0, 0.0], [0.0, 0.3]])) == 0.5  # a pinned axis
+        assert initial_radius(angle_bounds(2)) == 0.5 * np.pi / 8
+
+    def test_tol_up_to_initial_radius_is_accepted_by_cobyla(self):
+        box = angle_bounds(1)
+        radius = initial_radius(box)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            minimize(quadratic, [0.1, 1.0], bounds=box, budget=10, tol=radius)
+        with pytest.warns(UserWarning, match="RHOEND"):
+            minimize(quadratic, [0.1, 1.0], bounds=box, budget=10, tol=1.01 * radius)
 
     @settings(max_examples=25, deadline=None)
     @given(
