@@ -231,11 +231,11 @@ def _run_detection(inst, model, oracle, theta0, method, settings):
     trace = localopt.minimize(
         objective, theta0, bounds=settings.bounds, budget=settings.budget, tol=settings.tol
     )
-    state = qaoa_state(model, QaoaParams.from_vector(trace.best_point), settings.max_qubits)
-    probs = state.amplitudes.real**2 + state.amplitudes.imag**2
+    amps = qaoa_state(model, QaoaParams.from_vector(trace.best_point), settings.max_qubits)
+    probs = amps.real**2 + amps.imag**2
 
     order = _top_indices(probs, settings.top_k)
-    argmax_index = int(np.argmax(probs))
+    argmax_index = int(order[0])  # largest first, ties by index, as np.argmax
     decoded = index_to_spins(argmax_index, model.n)
     x_best, ml_value = oracle
 
@@ -261,7 +261,7 @@ def _run_detection(inst, model, oracle, theta0, method, settings):
         "bruteforce_bitstring": spins_to_bits(x_best),
         "bruteforce_value": float(ml_value),
         "success": bool(np.array_equal(decoded, x_best)),
-        "solution_probability": success_probability(state, x_best),
+        "solution_probability": success_probability(amps, x_best),
     }
     return report, trace
 
@@ -463,7 +463,7 @@ def unitarity(gen, size):
     for p in range(1, size + 1):
         model = build_ising(generate_instance(6, 6, 1.0, seed=int(gen.integers(0, 2**63))))
         params = QaoaParams(p, gen.uniform(0, np.pi / 2, p), gen.uniform(0, np.pi, p))
-        amps = qaoa_state(model, params).amplitudes
+        amps = qaoa_state(model, params)
         worst_norm = max(worst_norm, abs(float(np.sum(np.abs(amps) ** 2)) - 1.0))
         beta0 = QaoaParams(p, gen.uniform(0, np.pi / 2, p), np.zeros(p))
         worst_beta0 = max(worst_beta0, abs(simulator_expectation(model, beta0)))

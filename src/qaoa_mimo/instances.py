@@ -22,6 +22,7 @@ from .rng import (
     standard_normals,
     substream,
 )
+from .simulator import _SERIAL_MATMUL
 
 # Exhaustive search visits 2^n_t candidates; above this it is refused.
 EXHAUSTIVE_CAP = 20
@@ -128,6 +129,9 @@ def brute_force_detect(inst, max_antennas=EXHAUSTIVE_CAP):
             f"exhaustive search over 2^{n} candidates exceeds the cap of {max_antennas} antennas"
         )
     shifts = np.arange(n, dtype=np.uint64)
+    # H x for `rows` candidates per product: small enough that OpenBLAS keeps it
+    # on the calling thread, and every entry gets the same bits as from one product
+    rows = 1 << max(0, (_SERIAL_MATMUL // (n * inst.n_r)).bit_length() - 1)
     best_value = np.inf
     best_index = 0
     for start in range(0, 1 << n, _CHUNK):
@@ -135,7 +139,8 @@ def brute_force_detect(inst, max_antennas=EXHAUSTIVE_CAP):
         idx = np.arange(start, stop, dtype=np.uint64)
         bits = (idx[:, None] >> shifts[None, :]) & np.uint64(1)
         spins = 1.0 - 2.0 * bits
-        residuals = inst.y[None, :] - spins @ inst.h.T
+        products = np.matmul(spins.reshape(-1, min(rows, stop - start), n), inst.h.T)
+        residuals = inst.y[None, :] - products.reshape(-1, inst.n_r)
         values = np.einsum("ij,ij->i", residuals, residuals)
         k = int(np.argmin(values))
         if values[k] < best_value:

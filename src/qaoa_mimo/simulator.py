@@ -26,7 +26,7 @@ Expectations are computed exactly from the final probabilities
 is simulated and kept with the model for every later call.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,14 +82,6 @@ class QaoaParams:
             raise ValueError("angle vector must be 1-D with even length")
         p = theta.size // 2
         return cls(p=p, gammas=theta[:p], betas=theta[p:])
-
-
-@dataclass
-class Statevector:
-    """Amplitudes over the 2^n computational basis (bit k of the index = qubit k)."""
-
-    n: int
-    amplitudes: np.ndarray = field(repr=False)
 
 
 def _check_cap(n, max_qubits):
@@ -177,6 +169,9 @@ def _phase(model, diag, gamma, out, scale=None):
     return out
 
 
+# A phase that overflows comes out NaN, which every optimizer refuses as a failed
+# evaluation; numpy's warning about it would only add noise to stderr.
+@np.errstate(over="ignore", invalid="ignore")
 def _evolve(model, diag, params):
     dim = 1 << model.n
     amps = np.empty(dim, dtype=np.complex128)
@@ -204,9 +199,9 @@ def _evolve(model, diag, params):
 
 
 def qaoa_state(model, params, max_qubits=DEFAULT_QUBIT_CAP):
-    """Statevector after p alternating phase/mixer layers on |+>^n."""
-    diag = _model_diagonal(model, max_qubits)
-    return Statevector(n=model.n, amplitudes=_evolve(model, diag, params))
+    """Amplitudes after p alternating phase/mixer layers on |+>^n: a complex
+    array of length 2^n (bit k of the index = qubit k)."""
+    return _evolve(model, _model_diagonal(model, max_qubits), params)
 
 
 def expectation(model, params, max_qubits=DEFAULT_QUBIT_CAP):
@@ -219,10 +214,10 @@ def expectation(model, params, max_qubits=DEFAULT_QUBIT_CAP):
     return float(np.sum(probs * diag))
 
 
-def success_probability(state, x):
+def success_probability(amplitudes, x):
     """Probability of measuring the basis state that encodes symbol vector x."""
     x = np.asarray(x)
-    if x.shape != (state.n,):
-        raise ValueError(f"x has shape {x.shape}, expected ({state.n},)")
-    amp = state.amplitudes[spins_to_index(x)]
+    if x.ndim != 1 or amplitudes.shape != (1 << x.size,):
+        raise ValueError(f"x has shape {x.shape}, amplitudes {amplitudes.shape}: need (n,), (2^n,)")
+    amp = amplitudes[spins_to_index(x)]
     return float(amp.real**2 + amp.imag**2)

@@ -211,6 +211,26 @@ def write_overflowing_config(tmp_path, **fields):
     )
 
 
+@pytest.mark.parametrize(
+    "mode, fields, code",
+    [("train-init", {"t_rounds": 1, "n_init": 2}, 2), ("detect", {"budget": 10}, 3)],
+)
+def test_overflowing_phase_prints_no_numpy_warning(tmp_path, mode, fields, code):
+    config = write_overflowing_config(tmp_path, **fields)
+    proc = subprocess.run(
+        [sys.executable, "-m", "qaoa_mimo.cli", mode, "--config", config,
+         "--out", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__))),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == code
+    if mode == "train-init":  # the run's one error line, and nothing else
+        assert proc.stderr.startswith("runtime error: objective failed")
+        assert proc.stderr.count("\n") == 1
+    else:  # detect writes its failures as error rows
+        assert proc.stderr == ""
+
+
 # Arrays numpy refuses before allocating anything: each is larger than
 # the 47-bit (128 TiB) address space, whatever the kernel's overcommit rule.
 @pytest.mark.parametrize(
@@ -316,7 +336,6 @@ class TestTrainInit:
         cli.main(["train-init", "--config", config, "--out", str(out_b)])
         assert out_a.read_bytes() == out_b.read_bytes()
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_non_finite_objective_is_runtime_error(self, tmp_path, capsys):
         config = write_overflowing_config(tmp_path, t_rounds=1, n_init=2)
         out = tmp_path / "init.json"
@@ -473,7 +492,6 @@ class TestDetect:
         assert cli.main(["detect", "--config", config, "--out", str(out)]) == 1
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_non_finite_objective_writes_error_rows(self, tmp_path):
         config = write_overflowing_config(tmp_path, budget=10)
         out = tmp_path / "reports.jsonl"

@@ -11,8 +11,7 @@ from qaoa_mimo.simulator import QaoaParams, expectation, qaoa_state
 
 def simulator_moments(model, gamma, beta):
     """Statevector oracle for <Z_i> and <Z_i Z_j> at depth 1."""
-    state = qaoa_state(model, QaoaParams(p=1, gammas=[gamma], betas=[beta]))
-    probs = np.abs(state.amplitudes) ** 2
+    probs = np.abs(qaoa_state(model, QaoaParams(p=1, gammas=[gamma], betas=[beta]))) ** 2
     n = model.n
     idx = np.arange(1 << n)
     spins = 1.0 - 2.0 * ((idx[:, None] >> np.arange(n)[None, :]) & 1)

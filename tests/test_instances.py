@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from qaoa_mimo import instances
 from qaoa_mimo.errors import ResourceLimitError
 from qaoa_mimo.instances import (
     ChannelInstance,
@@ -176,6 +177,22 @@ class TestBruteForce:
             x_best, value = brute_force_detect(inst)
             assert np.array_equal(x_best, inst.x_true)
             assert value == pytest.approx(0.0, abs=1e-18)
+
+    @pytest.mark.parametrize("n_t, n_r", [(1, 1), (6, 6), (14, 14), (18, 18), (2, 20000)])
+    def test_every_product_stays_on_one_thread(self, n_t, n_r, matmul_products):
+        products = matmul_products(instances)
+        brute_force_detect(generate_instance(n_t, n_r, 1.0, seed=n_t))
+        # one candidate's product is the smallest there is
+        assert max(products) <= max(instances._SERIAL_MATMUL, n_t * n_r)
+
+    @pytest.mark.parametrize("n", [6, 14, 18])
+    def test_stacked_products_give_the_bits_of_one_product(self, n, monkeypatch):
+        inst = generate_instance(n, n, 1.0, seed=n)
+        x_stacked, stacked = brute_force_detect(inst)
+        monkeypatch.setattr(instances, "_SERIAL_MATMUL", 1 << 62)
+        x_single, single = brute_force_detect(inst)
+        assert np.array_equal(x_stacked, x_single)
+        assert stacked.hex() == single.hex()
 
     def test_cap_enforced(self):
         inst = generate_instance(21, 2, 1.0, seed=0)

@@ -1,10 +1,15 @@
-"""The README's Library example runs as written against the source tree."""
+"""The README's Library example runs as written against the source tree, and
+imports exactly the package's public names."""
 
+import ast
 import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
+
+import qaoa_mimo
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -24,3 +29,17 @@ def test_library_example_runs():
     )
     assert result.returncode == 0, result.stderr
     assert 0.0 <= float(result.stdout) <= 1.0  # the example prints a success probability
+
+
+def test_package_exports_the_library_example_names():
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(library_example()))
+        if isinstance(node, ast.ImportFrom) and node.module == "qaoa_mimo"
+        for alias in node.names
+    }
+    public = {
+        name for name, value in vars(qaoa_mimo).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == imported
