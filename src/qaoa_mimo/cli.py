@@ -306,7 +306,7 @@ def _map_instances(instances, starts, settings):
     from concurrent.futures.process import BrokenProcessPool
 
     # fork: a worker starts from this process's memory instead of importing numpy and
-    # scipy again, and this process has started no Python thread of its own by now
+    # the package again, and this process has started no Python thread of its own by now
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
         yield from pool.map(_detect_instance, *tasks)
@@ -325,9 +325,10 @@ def _detection_runs(config, seed, methods):
     tol = _optional(config, "tol", float, 1e-6)
     top_k = _optional(config, "top_k", int, 8, minimum=1)
     bounds = _resolve_bounds(config, p)
-    radius = localopt.initial_radius(bounds)  # COBYLA ignores a tol above it
-    if not 0 < tol <= radius:
-        raise ConfigError(f"config key 'tol' must be in (0, {radius}], got {tol}")
+    try:
+        localopt.check_tol(tol, bounds)
+    except ValueError as exc:
+        raise ConfigError(f"config key {exc}") from exc
     max_qubits = _optional(config, "max_qubits", int, DEFAULT_QUBIT_CAP, minimum=1)
     # random starts: one uniform draw over the angle box per instance, in file order
     gen = substream(seed, STREAM_RANDOM_INIT)

@@ -1,10 +1,33 @@
 """Derivative-free local refinement of the variational angles.
 
-Wraps scipy's COBYLA (the PRIMA port, scipy >= 1.16) behind a traced
-interface: every evaluation is recorded, the budget is the exact maximum
-number of objective calls, and box bounds are enforced through a
-quadratic penalty so the objective stays callable everywhere.  scipy is
-imported when ``minimize`` runs, not with the module.
+COBYLA (Powell, 1994) behind a traced interface: every evaluation is
+recorded, the budget is the exact maximum number of objective calls, and
+box bounds are enforced through a quadratic penalty so the objective stays
+callable everywhere.  With the bounds in the objective, COBYLA runs
+without constraints, and this module carries only that case of it.
+
+The optimizer is a numpy port of the unconstrained path of PRIMA's COBYLA
+(Zaikun Zhang's modern-Fortran reference implementation, as translated to
+Python by Nickolai Belakovski and shipped in scipy 1.17.1).  It asks for
+the same points, bit for bit, as ``scipy.optimize.minimize(method="COBYLA")``
+with ``tol`` as the final and ``initial_radius(bounds)`` as the initial trust
+radius, including scipy's reuse of the last value when a point is asked
+for twice in a row; the test suite pins it against scipy.  Without
+constraints, PRIMA's penalty parameter never changes, its linear program
+reduces to a step of length delta against the model gradient, and its
+filter and history only choose a returned point, which ``OptTrace`` picks
+from the evaluations instead; none of that is ported.
+
+PRIMA is distributed under the BSD 3-Clause License, Copyright (c) Zaikun
+Zhang.  Redistribution and use in source and binary forms, with or without
+modification, are permitted provided that the conditions of that license
+are met: source redistributions retain this copyright notice, the list of
+conditions and the disclaimer; binary redistributions reproduce them in
+the accompanying material; and neither the name of the copyright holder
+nor the names of its contributors are used to endorse or promote products
+derived from the software without specific prior written permission.  THE
+SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS "AS IS" AND
+ANY EXPRESS OR IMPLIED WARRANTIES ARE DISCLAIMED.
 """
 
 from dataclasses import dataclass
@@ -15,13 +38,30 @@ from .errors import ObjectiveEvaluationError
 
 PENALTY_WEIGHT = 1e4
 
-# PRIMA COBYLA exit statuses (scipy >= 1.16), from PRIMA's common/infos.
+# PRIMA's exit flags (common/infos.py) and scipy's messages for the ones
+# reported as the stop reason.
 SMALL_TR_RADIUS = 0
 MAXFUN_REACHED = 3
+MAXTR_REACHED = 20
+DAMAGING_ROUNDING = 7
+_EXIT_MESSAGES = {
+    MAXTR_REACHED: "the maximal number of trust region iterations has been reached.",
+    DAMAGING_ROUNDING: "rounding errors are becoming damaging.",
+}
+
+# PRIMA's constants and default parameters (common/consts.py, cobyla.py)
+_EPS = np.finfo(float).eps
+_REALMIN = np.finfo(float).tiny
+_FUNCMAX = 1e30  # larger values are moderated to this
+_ETA1 = 0.1
+_ETA2 = (_ETA1 + 2) / 3  # derived from ETA1 as cobyla.py does
+_GAMMA1 = 0.5
+_GAMMA2 = 2
+_GAMMA3 = 1.5  # max(1, min(0.75 * GAMMA2, 1.5))
 
 
 class _BudgetSpent(Exception):
-    """Raised by the wrapped objective to stop COBYLA once the budget is spent."""
+    """Raised to stop COBYLA when it asks for an evaluation past the budget."""
 
 
 @dataclass
@@ -48,28 +88,43 @@ def initial_radius(bounds=None):
     return min(0.5, 0.5 * span) if span > 0 else 0.5
 
 
+def check_tol(tol, bounds=None):
+    """Raise ValueError unless ``tol`` lies in (0, initial_radius(bounds)]."""
+    radius = initial_radius(bounds)
+    if not 0 < tol <= radius:
+        raise ValueError(f"'tol' must be in (0, {radius}], got {tol}")
+
+
 def minimize(objective, x0, bounds=None, budget=150, tol=1e-6):
     """Minimize ``objective`` from ``x0`` with at most ``budget`` evaluations,
     starting at trust radius ``initial_radius(bounds)``; deterministic given
     identical inputs.  If the objective raises or returns a non-finite value,
     the run aborts and ObjectiveEvaluationError carries the partial trace.
     """
-    from scipy.optimize import minimize as _scipy_minimize
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
-    x0 = np.asarray(x0, dtype=np.float64)
+    x0 = np.array(x0, dtype=np.float64)
+    if x0.ndim != 1 or x0.size == 0:
+        raise ValueError(f"x0 must be a non-empty 1-D array, got shape {x0.shape}")
+    if not np.isfinite(x0).all():
+        raise ValueError(f"x0 must be finite, got {x0.tolist()}")
     if bounds is not None:
         bounds = np.asarray(bounds, dtype=np.float64)
         if bounds.shape != (x0.size, 2):
             raise ValueError(f"bounds must have shape ({x0.size}, 2)")
         low, high = bounds[:, 0], bounds[:, 1]
+    if not isinstance(budget, (int, np.integer)) or isinstance(budget, bool) or budget < 1:
+        raise ValueError(f"budget must be an integer >= 1, got {budget!r}")
+    check_tol(tol, bounds)
 
     evaluations = []
+    last = [None, None]  # the last point asked for and its value
 
-    def wrapped(x):
+    def evaluate(x):
+        # scipy hands COBYLA the cached value when it asks for the last point again
+        if last[0] is not None and (x == last[0]).all():
+            return min(last[1], _FUNCMAX)
         if len(evaluations) == budget:
             raise _BudgetSpent
-        x = np.asarray(x, dtype=np.float64)
+        x = x.copy()
         try:
             value = float(objective(x))
             if not np.isfinite(value):
@@ -83,29 +138,20 @@ def minimize(objective, x0, bounds=None, budget=150, tol=1e-6):
             excess = np.maximum(low - x, 0.0) + np.maximum(x - high, 0.0)
             value += PENALTY_WEIGHT * float(excess @ excess)
         evaluations.append((x.copy(), value))
-        return value
+        last[:] = x, value
+        return min(value, _FUNCMAX)
 
-    # COBYLA raises a maxfun below d + 2 to d + 2 with a warning, so a
-    # smaller budget is enforced by the wrapper alone.
+    # COBYLA needs d + 2 evaluations at least; a smaller budget stops it
+    # when it asks for one more
     try:
-        result = _scipy_minimize(
-            wrapped,
-            x0,
-            method="COBYLA",
-            tol=tol,
-            options={"maxiter": max(budget, x0.size + 2), "rhobeg": initial_radius(bounds)},
-        )
+        info = _cobyla(evaluate, x0, initial_radius(bounds), tol, max(budget, x0.size + 2))
     except _BudgetSpent:
         return _trace(evaluations, converged=False, reason="budget")
-
-    converged = bool(result.status == SMALL_TR_RADIUS)
-    if converged:
-        reason = "tolerance"
-    elif result.status == MAXFUN_REACHED:
-        reason = "budget"
-    else:
-        reason = str(result.message)
-    return _trace(evaluations, converged, reason)
+    if info == SMALL_TR_RADIUS:
+        return _trace(evaluations, converged=True, reason="tolerance")
+    if info == MAXFUN_REACHED:
+        return _trace(evaluations, converged=False, reason="budget")
+    return _trace(evaluations, False, f"Return from COBYLA because {_EXIT_MESSAGES[info]}")
 
 
 def _trace(evaluations, converged, reason):
@@ -120,3 +166,310 @@ def _trace(evaluations, converged, reason):
         converged=converged,
         reason=reason,
     )
+
+
+# ---------------------------------------------------------------------------
+# PRIMA's COBYLA without constraints.  Names follow PRIMA: sim holds the
+# pole sim[:, n] and the edges sim[:, :n] from it, simi is the inverse of
+# the edge matrix, fval the values at pole + edges and at the pole.  Each
+# floating-point expression keeps PRIMA's operand order and numpy call, so
+# the rounding is the same.
+
+
+def _cobyla(evaluate, x0, rhobeg, rhoend, maxfun):
+    """Run COBYLA (cobylb.py) and return PRIMA's exit flag."""
+    n = x0.size
+    if abs(rhobeg - rhoend) < 1.0e2 * _EPS * max(abs(rhobeg), 1):
+        rhoend = rhobeg
+    eye = np.eye(n)
+
+    # initialization (initialize.py: initxfc): the start and one step of
+    # rhobeg along each axis from the best point so far
+    sim = np.eye(n, n + 1) * rhobeg
+    sim[:, n] = x0
+    simi = np.eye(n) / rhobeg
+    fval = np.zeros(n + 1)
+    for k in range(n + 1):
+        x = sim[:, n].copy()
+        if k == 0:
+            j = n
+        else:
+            j = k - 1
+            x[j] += rhobeg
+        fval[j] = evaluate(x)
+        if j < n and fval[j] < fval[n]:
+            fval[j], fval[n] = fval[n], fval[j]
+            sim[:, n] = x
+            sim[j, : j + 1] = -rhobeg
+    simi = np.linalg.inv(sim[:, :n])
+    nf = n + 1
+
+    rho = delta = rhobeg
+    ratio = -1
+    jdrop_tr = 0
+    distsq = np.zeros(n + 1)
+    info = MAXTR_REACHED
+    for _ in range(10 * maxfun):
+        sim, simi, ok = _updatepole(fval, sim, simi, eye)
+        if not ok:
+            info = DAMAGING_ROUNDING
+            break
+        colsq = (sim[:, :n] * sim[:, :n]).sum(axis=0)
+        adequate_geo = (colsq <= 4 * (delta * delta)).all()
+        g = (fval[:n] - fval[n]) @ simi
+        d = _trstlp(delta, g)
+        dnorm = min(delta, _norm(d))
+        shortd = dnorm <= 0.1 * rho
+        prerem = -d.dot(g)
+        # PRIMA's 1e-6 * min(cpen, 1) * rho, with the penalty cpen at its floor EPS
+        trfail = not (prerem > 1.0e-6 * _EPS * rho)
+        if shortd or trfail:
+            delta *= 0.1
+            if delta <= _GAMMA3 * rho:
+                delta = rho
+        else:
+            x = sim[:, n] + d
+            f, nf = _value_at(x, sim, fval, distsq, rhoend, evaluate, nf)
+            actrem = fval[n] - f
+            ratio = actrem / prerem
+            delta = _trrad(delta, dnorm, ratio)
+            if delta <= _GAMMA3 * rho:
+                delta = rho
+            ximproved = actrem > 0
+            jdrop_tr = _setdrop_tr(ximproved, d, delta, rho, sim, simi)
+            if jdrop_tr is not None:  # None keeps the simplex as it is
+                sim, simi, ok = _updatexfc(jdrop_tr, d, f, fval, sim, simi, eye)
+                if not ok:
+                    info = DAMAGING_ROUNDING
+                    break
+            if nf >= maxfun:
+                info = MAXFUN_REACHED
+                break
+
+        bad_trstep = shortd or trfail or ratio <= 0 or jdrop_tr is None
+        improve_geo = bad_trstep and not adequate_geo
+        reduce_rho = bad_trstep and adequate_geo and max(delta, dnorm) <= rho
+        if improve_geo:
+            colsq = (sim[:, :n] * sim[:, :n]).sum(axis=0)
+        if improve_geo and not (colsq <= 4 * (delta * delta)).all():
+            # geometry step (geometry.py: geostep): replace the longest edge
+            jdrop_geo = colsq.argmax()
+            d = simi[jdrop_geo, :]
+            d = delta / 2 * (d / _norm(d))
+            g = (fval[:n] - fval[n]) @ simi
+            if -d.dot(g) < d.dot(g):
+                d *= -1
+            x = sim[:, n] + d
+            f, nf = _value_at(x, sim, fval, distsq, rhoend, evaluate, nf)
+            sim, simi, ok = _updatexfc(jdrop_geo, d, f, fval, sim, simi, eye)
+            if not ok:
+                info = DAMAGING_ROUNDING
+                break
+            if nf >= maxfun:
+                info = MAXFUN_REACHED
+                break
+        if reduce_rho:
+            if rho <= rhoend:
+                info = SMALL_TR_RADIUS
+                break
+            delta = max(0.5 * rho, _redrho(rho, rhoend))
+            rho = _redrho(rho, rhoend)
+            sim, simi, ok = _updatepole(fval, sim, simi, eye)
+            if not ok:
+                info = DAMAGING_ROUNDING
+                break
+
+    # a last short step is evaluated if the trust region shrank below tol
+    if info == SMALL_TR_RADIUS and shortd and nf < maxfun:
+        x = sim[:, n] + d
+        if _norm(x - sim[:, n]) > 1.0e-3 * rhoend:
+            evaluate(x)
+    return info
+
+
+def _value_at(x, sim, fval, distsq, rhoend, evaluate, nf):
+    """The value at x: reused from the nearest vertex if that is within
+    1e-4 * rhoend, otherwise evaluated.  Returns (value, evaluation count)."""
+    n = x.size
+    step = x - sim[:, n]
+    distsq[n] = (step * step).sum()
+    edges = x.reshape(n, 1) - (sim[:, n].reshape(n, 1) + sim[:, :n])
+    distsq[:n] = (edges * edges).sum(axis=0)
+    j = distsq.argmin()
+    if distsq[j] <= (1e-4 * rhoend) * (1e-4 * rhoend):
+        return fval[j], nf
+    return evaluate(x), nf + 1
+
+
+def _trstlp(delta, g):
+    """The trust-region step without constraints (trustregion.py: trstlp):
+    length delta against the model gradient g, or zero when g is negligible.
+    PRIMA turns g into the first column of an orthogonal matrix Q by Givens
+    rotations (powalg.py: qradd_Rdiag) and steps along -Q[:, 0]."""
+    n = g.size
+    maxval = np.abs(g).max()
+    if maxval > 1e12:
+        g = g * max(2 * _REALMIN, 1 / maxval)
+    g = g.tolist()
+    cq = [0 if _isminor(c, abs(c)) else c for c in g]
+    # Q starts as the identity, and rotation k mixes columns k and k + 1, so
+    # column k after it is c at k and s times column k + 1 below k; every
+    # product in PRIMA's 2-column matmul but one has an exact zero factor
+    q0 = [0.0] * (n - 1) + [1.0]
+    for k in range(n - 2, -1, -1):
+        if abs(cq[k + 1]) > 0:
+            c, s = _planerot(cq[k], cq[k + 1])
+            q0 = [0.0] * k + [c] + [q * s for q in q0[k + 1 :]]
+            cq[k] = np.hypot(cq[k], cq[k + 1])
+        else:
+            q0 = [0.0] * k + [1.0] + [0.0] * (n - k - 1)
+    if not (abs(cq[0]) > _EPS**2 and not _isminor(cq[0], abs(g[0]))):
+        return np.zeros(n)
+    sdirn = -1 / cq[0] * np.array(q0)
+    ss = sdirn.dot(sdirn)
+    dd = delta * delta
+    if dd <= 0 or ss <= _EPS * delta * delta:
+        return np.zeros(n)
+    step = np.sqrt(ss * dd) / ss
+    if step <= 0 or not np.isfinite(step):
+        return np.zeros(n)
+    return 0.0 + step * sdirn  # 0.0 + keeps PRIMA's signed zeros
+
+
+def _norm(v):
+    """np.linalg.norm of a contiguous vector, without its argument checks."""
+    return np.sqrt(v.dot(v))
+
+
+def _isminor(x, ref):
+    """True if x is zero up to rounding against ref (linalg.py: isminor)."""
+    refa = abs(ref) + 0.1 * abs(x)
+    refb = abs(ref) + 2 * 0.1 * abs(x)
+    return abs(ref) >= refa or refa >= refb
+
+
+def _planerot(x0, x1):
+    """(c, s) of the Givens rotation [[c, s], [-s, c]] that maps the finite
+    (x0, x1) to (|x|, 0) (linalg.py: planerot)."""
+    if abs(x0) <= 0 and abs(x1) <= 0:
+        return 1, 0
+    if abs(x1) <= _EPS * abs(x0):
+        return np.sign(x0), 0
+    if abs(x0) <= _EPS * abs(x1):
+        return 0, np.sign(x1)
+    if _SQRT_REALMIN < abs(x0) < _SQRT_REALMAX and _SQRT_REALMIN < abs(x1) < _SQRT_REALMAX:
+        x = np.array((x0, x1))
+        r = np.sqrt(x.dot(x))  # np.linalg.norm(x)
+        return x0 / r, x1 / r
+    if abs(x0) > abs(x1):
+        t = x1 / x0
+        u = max(1, abs(t), np.sqrt(1 + t * t)) * np.sign(x0)
+        return 1 / u, t / u
+    t = x0 / x1
+    u = max(1, abs(t), np.sqrt(1 + t * t)) * np.sign(x1)
+    return t / u, 1 / u
+
+
+_SQRT_REALMIN = np.sqrt(_REALMIN)
+_SQRT_REALMAX = np.sqrt(np.finfo(float).max / 2.1)
+
+
+def _trrad(delta, dnorm, ratio):
+    """The next trust radius from the reduction ratio (trustregion.py: trrad)."""
+    if ratio <= _ETA1:
+        return _GAMMA1 * dnorm
+    if ratio <= _ETA2:
+        return max(_GAMMA1 * delta, dnorm)
+    return max(_GAMMA1 * delta, _GAMMA2 * dnorm)
+
+
+def _redrho(rho, rhoend):
+    """The reduced lower bound of the trust radius (redrho.py)."""
+    rho_ratio = rho / rhoend
+    if rho_ratio > 250:
+        return 0.1 * rho
+    if rho_ratio <= 16:
+        return rhoend
+    return np.sqrt(rho_ratio) * rhoend
+
+
+def _setdrop_tr(ximproved, d, delta, rho, sim, simi):
+    """The vertex that the trust-region point replaces, or None to keep the
+    simplex (geometry.py: setdrop_tr)."""
+    n = sim.shape[0]
+    distsq = np.zeros(n + 1)
+    if ximproved:
+        edges = sim[:, :n] - d[:, None]
+        distsq[:n] = (edges * edges).sum(axis=0)
+        distsq[n] = (d * d).sum()
+    else:
+        distsq[:n] = (sim[:, :n] * sim[:, :n]).sum(axis=0)
+    scale = np.maximum(rho, delta / 10)
+    weight = np.maximum(1, distsq / (scale * scale))
+    simid = simi @ d
+    score = weight * abs(np.append(simid, 1 - simid.sum()))
+    if not ximproved:
+        score[n] = -1
+    score[np.isnan(score)] = -1
+    if (score > 0).any():
+        return score.argmax()
+    return distsq.argmax() if ximproved else None
+
+
+def _updatexfc(jdrop, d, f, fval, sim, simi, eye):
+    """Replace vertex jdrop by pole + d with value f, then move the pole to
+    the best vertex (update.py: updatexfc).  Returns (sim, simi, ok); not ok
+    means rounding has made simi useless."""
+    n = sim.shape[0]
+    if jdrop < n:
+        sim[:, jdrop] = d
+        simi_jdrop = simi[jdrop, :] / simi[jdrop, :].dot(d)
+        simi -= np.outer(simi @ d, simi_jdrop)
+        simi[jdrop, :] = simi_jdrop
+    else:
+        sim[:, n] += d
+        sim[:, :n] -= d[:, None]
+        simid = simi @ d
+        sum_simi = simi.sum(axis=0)
+        simi += np.outer(simid, sum_simi / (1 - sum(simid)))
+    simi, ok = _checked_inverse(sim, simi, eye)
+    if not ok:
+        return sim, simi, False
+    fval[jdrop] = f
+    return _updatepole(fval, sim, simi, eye)
+
+
+def _updatepole(fval, sim, simi, eye):
+    """Make the best vertex the pole (update.py: findpole, updatepole).
+    Returns (sim, simi, ok); when not ok, sim and simi are unchanged."""
+    n = sim.shape[0]
+    sim_old, simi_old = sim, simi
+    # with no constraints the merit is f, and PRIMA keeps the pole on ties
+    jopt = fval.argmin() if fval.min() < fval[n] else n
+    if jopt < n:
+        sim, simi = sim.copy(order="K"), simi.copy(order="K")
+        sim[:, n] += sim[:, jopt]
+        sim_jopt = sim[:, jopt].copy()
+        sim[:, jopt] = 0
+        sim[:, :n] -= sim_jopt[:, None]
+        simi[jopt, :] = -simi.sum(axis=0)
+    simi, ok = _checked_inverse(sim, simi, eye)
+    if not ok:
+        return sim_old, simi_old, False
+    if jopt < n:
+        fval[[jopt, n]] = fval[[n, jopt]]
+    return sim, simi, True
+
+
+def _checked_inverse(sim, simi, eye):
+    """simi, or a fresh inverse of the edge matrix when that is more
+    accurate and simi is off by more than 0.1; ok is False when the error
+    of the better one exceeds 1."""
+    n = sim.shape[0]
+    erri = abs(simi @ sim[:, :n] - eye).max()
+    if erri > 0.1 or np.isnan(erri):
+        simi_test = np.linalg.inv(sim[:, :n])
+        erri_test = abs(simi_test @ sim[:, :n] - eye).max()
+        if erri_test < erri or (np.isnan(erri) and not np.isnan(erri_test)):
+            simi, erri = simi_test, erri_test
+    return simi, erri <= 1

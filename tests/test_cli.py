@@ -702,6 +702,31 @@ class TestSelftestAndErrors:
         assert self.exit_code_without_scipy(code, "scipy.stats") == 0
         assert os.path.exists(out)
 
+    def test_localopt_import_leaves_scipy_unloaded(self):
+        assert self.exit_code_without_scipy("import qaoa_mimo.localopt") == 0
+
+    def test_detect_leaves_scipy_unloaded(self, tmp_path):
+        instances = tmp_path / "inst.jsonl"
+        write_instances(instances, [make_identity_instance([1, -1, 1], seed=5)])
+        config = write_config(tmp_path, "d.json", instances=str(instances), p=1, budget=20, seed=4)
+        out = str(tmp_path / "reports.jsonl")
+        code = (
+            "from qaoa_mimo import cli; "
+            f"assert cli.main(['detect', '--config', {config!r}, '--out', {out!r}]) == 0"
+        )
+        assert self.exit_code_without_scipy(code) == 0
+        assert len(read_jsonl(out)) == 1
+
+    def test_compare_leaves_scipy_unloaded(self, tmp_path):
+        config = TestCompare().setup_run(tmp_path, count=2)
+        out = str(tmp_path / "cmp")
+        code = (
+            "from qaoa_mimo import cli; "
+            f"assert cli.main(['compare', '--config', {config!r}, '--out', {out!r}]) == 0"
+        )
+        assert self.exit_code_without_scipy(code) == 0
+        assert os.path.exists(os.path.join(out, "summary.json"))
+
     def test_selftest_leaves_scipy_stats_unloaded(self):
         code = "from qaoa_mimo import cli; assert cli.main(['selftest', '--seed', '3']) == 0"
         assert self.exit_code_without_scipy(code, "scipy.stats") == 0
