@@ -100,6 +100,9 @@ def minimize(objective, x0, bounds=None, budget=150, tol=1e-6):
     starting at trust radius ``initial_radius(bounds)``; deterministic given
     identical inputs.  If the objective raises or returns a non-finite value,
     the run aborts and ObjectiveEvaluationError carries the partial trace.
+    Raises ValueError for an x0 that is empty, not 1-D or not finite, bounds
+    of another shape than (d, 2), a budget that is not an integer >= 1 and a
+    tol outside (0, initial_radius(bounds)].
     """
     x0 = np.array(x0, dtype=np.float64)
     if x0.ndim != 1 or x0.size == 0:
@@ -350,9 +353,7 @@ def _isminor(x, ref):
 
 def _planerot(x0, x1):
     """(c, s) of the Givens rotation [[c, s], [-s, c]] that maps the finite
-    (x0, x1) to (|x|, 0) (linalg.py: planerot)."""
-    if abs(x0) <= 0 and abs(x1) <= 0:
-        return 1, 0
+    (x0, x1), x1 != 0, to (|x|, 0) (linalg.py: planerot)."""
     if abs(x1) <= _EPS * abs(x0):
         return np.sign(x0), 0
     if abs(x0) <= _EPS * abs(x1):
