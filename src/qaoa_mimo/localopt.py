@@ -190,7 +190,6 @@ def _cobyla(evaluate, x0, rhobeg, rhoend, maxfun):
     # rhobeg along each axis from the best point so far
     sim = np.eye(n, n + 1) * rhobeg
     sim[:, n] = x0
-    simi = np.eye(n) / rhobeg
     fval = np.zeros(n + 1)
     for k in range(n + 1):
         x = sim[:, n].copy()
@@ -204,7 +203,14 @@ def _cobyla(evaluate, x0, rhobeg, rhoend, maxfun):
             fval[j], fval[n] = fval[n], fval[j]
             sim[:, n] = x
             sim[j, : j + 1] = -rhobeg
-    simi = np.linalg.inv(sim[:, :n])
+    # PRIMA moves the pole to the best vertex again at the top of each
+    # iteration and after each reduction of rho, because its penalty
+    # parameter may have changed.  Without constraints it cannot; the pole
+    # stays the best vertex, and those calls only repeat the last check of
+    # simi with the same result, so they are left out.
+    simi, ok = _checked_inverse(sim, np.linalg.inv(sim[:, :n]), eye)
+    if not ok:
+        return DAMAGING_ROUNDING
     nf = n + 1
 
     rho = delta = rhobeg
@@ -213,10 +219,6 @@ def _cobyla(evaluate, x0, rhobeg, rhoend, maxfun):
     distsq = np.zeros(n + 1)
     info = MAXTR_REACHED
     for _ in range(10 * maxfun):
-        sim, simi, ok = _updatepole(fval, sim, simi, eye)
-        if not ok:
-            info = DAMAGING_ROUNDING
-            break
         colsq = (sim[:, :n] * sim[:, :n]).sum(axis=0)
         adequate_geo = (colsq <= 4 * (delta * delta)).all()
         g = (fval[:n] - fval[n]) @ simi
@@ -241,7 +243,7 @@ def _cobyla(evaluate, x0, rhobeg, rhoend, maxfun):
             ximproved = actrem > 0
             jdrop_tr = _setdrop_tr(ximproved, d, delta, rho, sim, simi)
             if jdrop_tr is not None:  # None keeps the simplex as it is
-                sim, simi, ok = _updatexfc(jdrop_tr, d, f, fval, sim, simi, eye)
+                simi, ok = _updatexfc(jdrop_tr, d, f, fval, sim, simi, eye)
                 if not ok:
                     info = DAMAGING_ROUNDING
                     break
@@ -264,7 +266,7 @@ def _cobyla(evaluate, x0, rhobeg, rhoend, maxfun):
                 d *= -1
             x = sim[:, n] + d
             f, nf = _value_at(x, sim, fval, distsq, rhoend, evaluate, nf)
-            sim, simi, ok = _updatexfc(jdrop_geo, d, f, fval, sim, simi, eye)
+            simi, ok = _updatexfc(jdrop_geo, d, f, fval, sim, simi, eye)
             if not ok:
                 info = DAMAGING_ROUNDING
                 break
@@ -277,10 +279,6 @@ def _cobyla(evaluate, x0, rhobeg, rhoend, maxfun):
                 break
             delta = max(0.5 * rho, _redrho(rho, rhoend))
             rho = _redrho(rho, rhoend)
-            sim, simi, ok = _updatepole(fval, sim, simi, eye)
-            if not ok:
-                info = DAMAGING_ROUNDING
-                break
 
     # a last short step is evaluated if the trust region shrank below tol
     if info == SMALL_TR_RADIUS and shortd and nf < maxfun:
@@ -411,7 +409,6 @@ def _setdrop_tr(ximproved, d, delta, rho, sim, simi):
     score = weight * abs(np.append(simid, 1 - simid.sum()))
     if not ximproved:
         score[n] = -1
-    score[np.isnan(score)] = -1
     if (score > 0).any():
         return score.argmax()
     return distsq.argmax() if ximproved else None
@@ -419,8 +416,9 @@ def _setdrop_tr(ximproved, d, delta, rho, sim, simi):
 
 def _updatexfc(jdrop, d, f, fval, sim, simi, eye):
     """Replace vertex jdrop by pole + d with value f, then move the pole to
-    the best vertex (update.py: updatexfc).  Returns (sim, simi, ok); not ok
-    means rounding has made simi useless."""
+    the best vertex (update.py: updatexfc, findpole, updatepole).  Updates
+    sim and fval in place and returns (simi, ok); not ok means rounding has
+    made simi useless, and the run stops."""
     n = sim.shape[0]
     if jdrop < n:
         sim[:, jdrop] = d
@@ -434,32 +432,19 @@ def _updatexfc(jdrop, d, f, fval, sim, simi, eye):
         sum_simi = simi.sum(axis=0)
         simi += np.outer(simid, sum_simi / (1 - sum(simid)))
     simi, ok = _checked_inverse(sim, simi, eye)
-    if not ok:
-        return sim, simi, False
     fval[jdrop] = f
-    return _updatepole(fval, sim, simi, eye)
-
-
-def _updatepole(fval, sim, simi, eye):
-    """Make the best vertex the pole (update.py: findpole, updatepole).
-    Returns (sim, simi, ok); when not ok, sim and simi are unchanged."""
-    n = sim.shape[0]
-    sim_old, simi_old = sim, simi
-    # with no constraints the merit is f, and PRIMA keeps the pole on ties
-    jopt = fval.argmin() if fval.min() < fval[n] else n
-    if jopt < n:
-        sim, simi = sim.copy(order="K"), simi.copy(order="K")
+    # with no constraints the merit is f, and PRIMA keeps the pole on ties,
+    # where its updatepole only repeats the check of simi above
+    if ok and fval.min() < fval[n]:
+        jopt = fval.argmin()
         sim[:, n] += sim[:, jopt]
         sim_jopt = sim[:, jopt].copy()
         sim[:, jopt] = 0
         sim[:, :n] -= sim_jopt[:, None]
         simi[jopt, :] = -simi.sum(axis=0)
-    simi, ok = _checked_inverse(sim, simi, eye)
-    if not ok:
-        return sim_old, simi_old, False
-    if jopt < n:
+        simi, ok = _checked_inverse(sim, simi, eye)
         fval[[jopt, n]] = fval[[n, jopt]]
-    return sim, simi, True
+    return simi, ok
 
 
 def _checked_inverse(sim, simi, eye):
