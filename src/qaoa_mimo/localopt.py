@@ -15,8 +15,9 @@ radius, including scipy's reuse of the last value when a point is asked
 for twice in a row; the test suite pins it against scipy.  Without
 constraints, PRIMA's penalty parameter never changes, its linear program
 reduces to a step of length delta against the model gradient, and its
-filter and history only choose a returned point, which ``OptTrace`` picks
-from the evaluations instead; none of that is ported.
+filter and history only choose the returned point, which ``OptTrace``
+picks from the evaluations instead; so the port keeps that step and the
+simplex updates, and leaves the rest out.
 
 PRIMA is distributed under the BSD 3-Clause License, Copyright (c) Zaikun
 Zhang.  Redistribution and use in source and binary forms, with or without
