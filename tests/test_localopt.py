@@ -254,15 +254,26 @@ class TestMatchesScipy:
             trace = assert_matches_scipy(qaoa_objective(p), x0, bounds, budget)
             assert len(trace.evaluations) == budget or trace.converged
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(
-        budget=st.integers(1, 40),
+        budget=st.integers(1, 80),
         x0=st.lists(st.floats(-2.0, 3.0), min_size=1, max_size=4),
-        tol=st.sampled_from([1e-6, 1e-3, 0.5]),
+        log_tol=st.floats(-7.0, np.log10(0.5)),
     )
-    def test_random_starts_in_and_outside_the_box(self, budget, x0, tol):
+    def test_random_starts_in_and_outside_the_box(self, budget, x0, log_tol):
+        # a tol drawn from a continuum reaches more of the radius schedule
         box = np.stack([np.zeros(len(x0)), np.ones(len(x0))], axis=1)
-        assert_matches_scipy(smooth(len(x0)), x0, box, budget, tol)
+        assert_matches_scipy(smooth(len(x0)), x0, box, budget, min(10.0**log_tol, 0.5))
+
+    @pytest.mark.parametrize("budget", [2, 4, 40])
+    def test_repeated_point_reuses_the_last_value(self, budget):
+        # the box is under an ulp wide at x0[0], so x0 + rhobeg * e_0 == x0 and
+        # COBYLA asks for the start again; scipy answers from its cache
+        box = np.array([[1.0, 1.0 + 2e-16], [0.0, 1.0]])
+        radius = initial_radius(box)
+        assert 1.0 + radius == 1.0
+        trace = assert_matches_scipy(quadratic, [1.0, 0.5], box, budget, radius)
+        assert np.array_equal(trace.evaluations[1][0], [1.0, 0.5 + radius])
 
     def test_cases_reduce_rho_and_take_geometry_steps(self, monkeypatch):
         counts = Counter()
