@@ -265,6 +265,12 @@ class TestMatchesScipy:
         box = np.stack([np.zeros(len(x0)), np.ones(len(x0))], axis=1)
         assert_matches_scipy(smooth(len(x0)), x0, box, budget, min(10.0**log_tol, 0.5))
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e25])
+    def test_extreme_objective_scales(self, scale):
+        # at 1e25 trstlp rescales gradients above 1e12; at 1e-170 their entries
+        # lie below sqrt(REALMIN), where planerot avoids squaring them
+        assert_matches_scipy(lambda x: scale * smooth(4)(x), np.zeros(4), budget=200)
+
     @pytest.mark.parametrize("budget", [2, 4, 40])
     def test_repeated_point_reuses_the_last_value(self, budget):
         # the box is under an ulp wide at x0[0], so x0 + rhobeg * e_0 == x0 and
