@@ -1,9 +1,9 @@
 """Gaussian-process surrogate with UCB acquisition and the sequential loop.
 
 The surrogate is a zero-mean GP with an isotropic squared-exponential
-kernel and fixed hyperparameters; the loop proposes each new point by
-maximizing mean + kappa * std over the search box.  Everything is
-deterministic in the caller's seed: quasi-random initial design,
+kernel and fixed hyperparameters; the loop minimizes, proposing each point
+by maximizing mean + kappa * std of a GP of the negated values over the box.
+Everything is deterministic in the caller's seed: quasi-random initial design,
 multi-start pattern search for the acquisition, and the Philox
 substreams behind both.  The design is Owen's scrambled Halton (Owen 2017),
 drawn in numpy bit-identically to scipy.stats.qmc.Halton(d, scramble=True,
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ObjectiveEvaluationError
+from .localopt import OptTrace, check_box, check_count, evaluate_guarded
 from .rng import STREAM_BAYESOPT, substream
 
 # Jitter escalation stops here; a kernel matrix still non-PD with this
@@ -52,15 +52,6 @@ class GpPosterior:
     noise_variance: float  # jitter actually used (>= kernel.noise_variance)
     _factor: tuple = field(repr=False, default=None)
     _alpha: np.ndarray = field(repr=False, default=None)
-
-
-@dataclass
-class BoHistory:
-    """Evaluated points in order plus the incumbent maximum."""
-
-    trials: list
-    best_point: np.ndarray
-    best_value: float
 
 
 def gp_fit(points, observations, kernel=None):
@@ -159,11 +150,8 @@ def maximize_acquisition(post, bounds, kappa, seed):
     the first best endpoint of compass searches from ``ACQUISITION_STARTS``
     uniform seeds and every training point.  Deterministic in ``seed``.
     """
-    if kappa < 0:
-        raise ValueError(f"kappa must be >= 0, got {kappa}")
-    bounds = np.asarray(bounds, dtype=np.float64)
-    if bounds.ndim != 2 or bounds.shape[1] != 2 or np.any(bounds[:, 1] < bounds[:, 0]):
-        raise ValueError("bounds must be a (d, 2) array with high >= low")
+    _check_kappa(kappa)
+    bounds = check_box(bounds, post.points.shape[1])
     low, high = bounds[:, 0], bounds[:, 1]
 
     def score(x):
@@ -177,26 +165,27 @@ def maximize_acquisition(post, bounds, kappa, seed):
     return x[np.argmax(best)]
 
 
+def _check_kappa(kappa):
+    if not kappa >= 0:  # NaN included
+        raise ValueError(f"kappa must be >= 0, got {kappa}")
+
+
 def bayes_opt(objective, bounds, t_rounds, kappa=2.0, n_init=5, seed=0, kernel=None):
-    """Sequential surrogate-based maximization of a black-box objective.
+    """Sequential surrogate-based minimization of a black-box objective.
 
-    ``n_init`` scrambled-Halton points are evaluated first, then
-    ``t_rounds`` acquisition-driven proposals.  The objective is the
-    quantity to MAXIMIZE; callers minimizing a cost pass its negation.
-    Observations are internally normalized to the unit box / standardized
-    before each GP fit so the fixed kernel scales stay meaningful; the
-    recorded history is in original coordinates and raw values.
-
-    Raises ObjectiveEvaluationError (with the partial history attached)
-    if the objective raises or returns a non-finite value.
+    ``n_init`` scrambled-Halton points are evaluated first, then ``t_rounds``
+    proposals that maximize the UCB acquisition of a GP fit to the negated
+    values, with points normalized to the unit box and values standardized so
+    the fixed kernel scales stay meaningful.  Returns ``localopt.minimize``'s
+    OptTrace (converged False, reason "budget") in original coordinates and
+    raw values.  Bounds failing ``check_box``, counts failing ``check_count``
+    and a kappa below 0 raise ValueError before the first evaluation; a
+    failing objective raises ``minimize``'s ObjectiveEvaluationError.
     """
-    if t_rounds < 1:
-        raise ValueError(f"t_rounds must be >= 1, got {t_rounds}")
-    if n_init < 1:
-        raise ValueError(f"n_init must be >= 1, got {n_init}")
-    bounds = np.asarray(bounds, dtype=np.float64)
-    if bounds.ndim != 2 or bounds.shape[1] != 2 or np.any(bounds[:, 1] < bounds[:, 0]):
-        raise ValueError("bounds must be a (d, 2) array with high >= low")
+    check_count("t_rounds", t_rounds)
+    check_count("n_init", n_init)
+    _check_kappa(kappa)
+    bounds = check_box(bounds)
     kernel = kernel if kernel is not None else SquaredExponentialKernel()
     low, span = bounds[:, 0], bounds[:, 1] - bounds[:, 0]
     d = low.size
@@ -204,20 +193,11 @@ def bayes_opt(objective, bounds, t_rounds, kappa=2.0, n_init=5, seed=0, kernel=N
     gen = substream(seed, STREAM_BAYESOPT)
     halton = _ScrambledHalton(d, seed=int(gen.integers(2**63)))
     unit_points = [z for z in halton.random(n_init)]
-    trials = []
+    evaluations = []
 
     def evaluate(z):
         x = low + z * span
-        try:
-            value = float(objective(x))
-            if not np.isfinite(value):
-                raise ValueError(f"non-finite value {value}")
-        except Exception as exc:
-            raise ObjectiveEvaluationError(
-                f"objective failed at trial {len(trials) + 1}: {exc}",
-                history=_finish(trials),
-            ) from exc
-        trials.append((x, value))
+        evaluations.append((x, evaluate_guarded(objective, x, evaluations)))
 
     for z in unit_points:
         evaluate(z)
@@ -225,7 +205,7 @@ def bayes_opt(objective, bounds, t_rounds, kappa=2.0, n_init=5, seed=0, kernel=N
     unit_box = np.column_stack([np.zeros(d), np.ones(d)])
     for _ in range(t_rounds):
         zs = np.array(unit_points)
-        ys = np.array([v for _, v in trials])
+        ys = -np.array([v for _, v in evaluations])  # the acquisition maximizes
         scale = float(ys.std())
         z_next = None
         if scale > 1e-12:
@@ -239,7 +219,7 @@ def bayes_opt(objective, bounds, t_rounds, kappa=2.0, n_init=5, seed=0, kernel=N
             z_next = halton.random(1)[0]
         unit_points.append(z_next)
         evaluate(z_next)
-    return _finish(trials)
+    return OptTrace.of(evaluations, converged=False, reason="budget")
 
 
 class _ScrambledHalton:
@@ -272,10 +252,3 @@ class _ScrambledHalton:
                 scale /= perms.shape[1]
         return points
 
-
-def _finish(trials):
-    if not trials:
-        return BoHistory(trials=[], best_point=None, best_value=-np.inf)
-    values = [v for _, v in trials]
-    k = int(np.argmax(values))
-    return BoHistory(trials=list(trials), best_point=trials[k][0].copy(), best_value=values[k])

@@ -495,7 +495,7 @@ def gp_predictions(gen, size):
 def bayesopt_parabola(gen, size):
     hits = 0
     for _ in range(size):
-        history = bayes_opt(lambda x: -((x[0] - 0.3) ** 2), np.array([[0.0, 1.0]]),
+        history = bayes_opt(lambda x: (x[0] - 0.3) ** 2, np.array([[0.0, 1.0]]),
                             t_rounds=20, kappa=2.0, seed=int(gen.integers(0, 2**63)))
         hits += abs(float(history.best_point[0]) - 0.3) <= BO_RADIUS
     return hits >= BO_HIT_RATE * size, f"{hits}/{size} seeds within {BO_RADIUS} of the optimum"

@@ -8,8 +8,8 @@ class ResourceLimitError(Exception):
 class ObjectiveEvaluationError(Exception):
     """The black-box objective failed during an optimization loop.
 
-    Carries the partial history accumulated before the failure in
-    ``history`` so callers can inspect what was evaluated.
+    Carries the ``localopt.OptTrace`` of the evaluations before the failure
+    in ``history`` so callers can inspect what was evaluated.
     """
 
     def __init__(self, message, history=None):

@@ -39,15 +39,18 @@ from .errors import ObjectiveEvaluationError
 
 PENALTY_WEIGHT = 1e4
 
-# PRIMA's exit flags (common/infos.py) and scipy's messages for the ones
-# reported as the stop reason.
+# PRIMA's exit flags (common/infos.py) and the stop reason each is reported
+# as: scipy's message where it is not "tolerance" or "budget".
 SMALL_TR_RADIUS = 0
 MAXFUN_REACHED = 3
 MAXTR_REACHED = 20
 DAMAGING_ROUNDING = 7
-_EXIT_MESSAGES = {
-    MAXTR_REACHED: "the maximal number of trust region iterations has been reached.",
-    DAMAGING_ROUNDING: "rounding errors are becoming damaging.",
+_REASONS = {
+    SMALL_TR_RADIUS: "tolerance",
+    MAXFUN_REACHED: "budget",
+    MAXTR_REACHED: "Return from COBYLA because the maximal number of trust region "
+                   "iterations has been reached.",
+    DAMAGING_ROUNDING: "Return from COBYLA because rounding errors are becoming damaging.",
 }
 
 # PRIMA's constants and default parameters (common/consts.py, cobyla.py)
@@ -67,11 +70,12 @@ class _BudgetSpent(Exception):
 
 @dataclass
 class OptTrace:
-    """Evaluations in call order and the best point found.
+    """Evaluations in call order and the best point found: the first of the
+    lowest value.  Both ``minimize`` and ``bayesopt.bayes_opt`` return it.
 
-    ``converged`` is True when the trust region shrank below tolerance;
-    otherwise ``reason`` records why the run stopped.  Recorded values
-    include the penalty term for out-of-bounds proposals.
+    ``converged`` is True when ``minimize``'s trust region shrank below
+    tolerance; otherwise ``reason`` records why the run stopped.  The values
+    ``minimize`` records include the penalty term for out-of-bounds proposals.
     """
 
     evaluations: list
@@ -79,6 +83,48 @@ class OptTrace:
     best_value: float
     converged: bool
     reason: str
+
+    @classmethod
+    def of(cls, evaluations, converged, reason):
+        """The trace of a list of (point, value); without any, best_point is
+        None and best_value inf."""
+        if not evaluations:
+            return cls([], None, np.inf, converged, reason)
+        values = [v for _, v in evaluations]
+        k = int(np.argmin(values))
+        return cls(list(evaluations), evaluations[k][0].copy(), values[k], converged, reason)
+
+
+def evaluate_guarded(objective, x, evaluations):
+    """``float(objective(x))``.  If the objective raises or returns a non-finite
+    value, ObjectiveEvaluationError carries the trace of ``evaluations``."""
+    try:
+        value = float(objective(x))
+        if not np.isfinite(value):
+            raise ValueError(f"non-finite value {value}")
+    except Exception as exc:
+        raise ObjectiveEvaluationError(
+            f"objective failed after {len(evaluations)} evaluations: {exc}",
+            history=OptTrace.of(evaluations, converged=False, reason="objective failure"),
+        ) from exc
+    return value
+
+
+def check_box(bounds, d=None):
+    """``bounds`` as a float (d, 2) array, d >= 1, of finite rows (low, high) with
+    low <= high (low == high pins an axis); otherwise a one-line ValueError."""
+    box = np.asarray(bounds, dtype=np.float64)
+    if box.ndim != 2 or box.shape[1] != 2 or not len(box) or d not in (None, len(box)):
+        raise ValueError(f"bounds must have shape ({d or 'd >= 1'}, 2), got {box.shape}")
+    if not np.isfinite(box).all() or np.any(box[:, 0] > box[:, 1]):
+        raise ValueError(f"bounds must be finite with low <= high, got {box.tolist()}")
+    return box
+
+
+def check_count(name, value):
+    """Raise ValueError unless ``value`` is an integer >= 1 (a bool is not)."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def initial_radius(bounds=None):
@@ -102,8 +148,8 @@ def minimize(objective, x0, bounds=None, budget=150, tol=1e-6):
     identical inputs.  If the objective raises or returns a non-finite value,
     the run aborts and ObjectiveEvaluationError carries the partial trace.
     Raises ValueError for an x0 that is empty, not 1-D or not finite, bounds
-    of another shape than (d, 2), a budget that is not an integer >= 1 and a
-    tol outside (0, initial_radius(bounds)].
+    that fail ``check_box``, a budget that is not an integer >= 1 and a tol
+    outside (0, initial_radius(bounds)].
     """
     x0 = np.array(x0, dtype=np.float64)
     if x0.ndim != 1 or x0.size == 0:
@@ -111,12 +157,9 @@ def minimize(objective, x0, bounds=None, budget=150, tol=1e-6):
     if not np.isfinite(x0).all():
         raise ValueError(f"x0 must be finite, got {x0.tolist()}")
     if bounds is not None:
-        bounds = np.asarray(bounds, dtype=np.float64)
-        if bounds.shape != (x0.size, 2):
-            raise ValueError(f"bounds must have shape ({x0.size}, 2)")
+        bounds = check_box(bounds, x0.size)
         low, high = bounds[:, 0], bounds[:, 1]
-    if not isinstance(budget, (int, np.integer)) or isinstance(budget, bool) or budget < 1:
-        raise ValueError(f"budget must be an integer >= 1, got {budget!r}")
+    check_count("budget", budget)
     check_tol(tol, bounds)
 
     evaluations = []
@@ -129,15 +172,7 @@ def minimize(objective, x0, bounds=None, budget=150, tol=1e-6):
         if len(evaluations) == budget:
             raise _BudgetSpent
         x = x.copy()
-        try:
-            value = float(objective(x))
-            if not np.isfinite(value):
-                raise ValueError(f"non-finite value {value}")
-        except Exception as exc:
-            raise ObjectiveEvaluationError(
-                f"objective failed after {len(evaluations)} evaluations: {exc}",
-                history=_trace(evaluations, converged=False, reason="objective failure"),
-            ) from exc
+        value = evaluate_guarded(objective, x, evaluations)
         if bounds is not None:
             excess = np.maximum(low - x, 0.0) + np.maximum(x - high, 0.0)
             value += PENALTY_WEIGHT * float(excess @ excess)
@@ -150,26 +185,8 @@ def minimize(objective, x0, bounds=None, budget=150, tol=1e-6):
     try:
         info = _cobyla(evaluate, x0, initial_radius(bounds), tol, max(budget, x0.size + 2))
     except _BudgetSpent:
-        return _trace(evaluations, converged=False, reason="budget")
-    if info == SMALL_TR_RADIUS:
-        return _trace(evaluations, converged=True, reason="tolerance")
-    if info == MAXFUN_REACHED:
-        return _trace(evaluations, converged=False, reason="budget")
-    return _trace(evaluations, False, f"Return from COBYLA because {_EXIT_MESSAGES[info]}")
-
-
-def _trace(evaluations, converged, reason):
-    if not evaluations:
-        return OptTrace([], None, np.inf, converged, reason)
-    values = [v for _, v in evaluations]
-    k = int(np.argmin(values))
-    return OptTrace(
-        evaluations=list(evaluations),
-        best_point=evaluations[k][0].copy(),
-        best_value=values[k],
-        converged=converged,
-        reason=reason,
-    )
+        info = MAXFUN_REACHED
+    return OptTrace.of(evaluations, converged=info == SMALL_TR_RADIUS, reason=_REASONS[info])
 
 
 # ---------------------------------------------------------------------------

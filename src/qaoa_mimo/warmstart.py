@@ -2,7 +2,7 @@
 
 A batch of small, exactly-simulable instances defines the ensemble
 objective F(angles) = mean over instances of <H_C>.  Bayesian
-optimization of -F over the angle box yields one angle vector that
+minimization of F over the angle box yields one angle vector that
 transfers as the starting point for larger detection runs.
 """
 
@@ -76,9 +76,9 @@ def train_init(
 ):
     """Train shared initial angles on a batch of instances.
 
-    Builds the Ising models, then Bayesian-optimizes the negated ensemble
-    mean (the loop maximizes; the ground-state search minimizes) over the
-    2p-dimensional angle box.  Deterministic in ``seed``.
+    Builds the Ising models, then minimizes their ensemble mean <H_C> with
+    ``bayes_opt`` over the 2p-dimensional angle box; ``final_objective`` is
+    the mean at the returned angles.  Deterministic in ``seed``.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
@@ -91,7 +91,7 @@ def train_init(
         kernel = SquaredExponentialKernel(length_scale=TRAIN_LENGTH_SCALE)
 
     def objective(theta):
-        return -meta_objective(models, QaoaParams.from_vector(theta), max_qubits)
+        return meta_objective(models, QaoaParams.from_vector(theta), max_qubits)
 
     history = bayes_opt(
         objective, bounds, t_rounds, kappa=kappa, n_init=n_init, seed=seed, kernel=kernel
@@ -103,7 +103,7 @@ def train_init(
         "kappa": float(kappa),
         "seed": int(seed),
         "n_init": int(n_init),
-        "final_objective": -history.best_value,
+        "final_objective": history.best_value,
     }
     return InitParams(
         p=p, gammas=theta[:p].copy(), betas=theta[p:].copy(), training_meta=meta

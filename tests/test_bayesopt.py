@@ -16,6 +16,9 @@ from qaoa_mimo.rng import STREAM_BAYESOPT, substream
 
 UNIT_1D = np.array([[0.0, 1.0]])
 UNIT_2D = np.array([[0.0, 1.0], [0.0, 1.0]])
+# inverted, NaN and infinite boxes, each refused before any evaluation
+BAD_BOUNDS_1D = [np.array([[1.0, 0.0]]), np.array([[np.nan, 1.0]]),
+                 np.array([[0.0, np.inf]]), np.array([[-np.inf, 0.0]])]
 
 
 def direct_prediction(points, values, kernel, x):
@@ -279,8 +282,12 @@ class TestMaximizeAcquisition:
 
     def test_bounds_validation(self):
         post = gp_fit([[0.5]], [0.0])
-        with pytest.raises(ValueError):
-            maximize_acquisition(post, np.array([[1.0, 0.0]]), kappa=1.0, seed=0)
+        for bounds in BAD_BOUNDS_1D + [UNIT_2D]:
+            with pytest.raises(ValueError, match="bounds must") as err:
+                maximize_acquisition(post, bounds, kappa=1.0, seed=0)
+            assert "\n" not in str(err.value)
+        pinned = maximize_acquisition(post, np.array([[0.4, 0.4]]), kappa=1.0, seed=0)
+        assert pinned.tolist() == [0.4]
 
     def test_rejects_negative_kappa(self):
         post = gp_fit([[0.5]], [0.0])
@@ -291,13 +298,13 @@ class TestMaximizeAcquisition:
 class TestBayesOpt:
     def test_finds_quadratic_optimum(self):
         history = bayes_opt(
-            lambda x: -((x[0] - 0.3) ** 2), UNIT_1D, t_rounds=20, kappa=2.0, seed=0
+            lambda x: (x[0] - 0.3) ** 2, UNIT_1D, t_rounds=20, kappa=2.0, seed=0
         )
         assert abs(history.best_point[0] - 0.3) <= 0.1
 
     def test_history_length_contract(self):
-        history = bayes_opt(lambda x: float(x[0]), UNIT_1D, t_rounds=4, n_init=3, seed=1)
-        assert len(history.trials) == 7
+        history = bayes_opt(lambda x: -float(x[0]), UNIT_1D, t_rounds=4, n_init=3, seed=1)
+        assert len(history.evaluations) == 7
 
     def test_deterministic_in_seed(self):
         def objective(x):
@@ -305,30 +312,30 @@ class TestBayesOpt:
 
         a = bayes_opt(objective, UNIT_2D, t_rounds=5, seed=9)
         b = bayes_opt(objective, UNIT_2D, t_rounds=5, seed=9)
-        assert len(a.trials) == len(b.trials)
-        for (xa, va), (xb, vb) in zip(a.trials, b.trials):
+        assert len(a.evaluations) == len(b.evaluations)
+        for (xa, va), (xb, vb) in zip(a.evaluations, b.evaluations):
             assert np.array_equal(xa, xb) and va == vb
 
-    def test_best_value_is_running_max_and_consistent(self):
+    def test_best_value_is_running_min_and_consistent(self):
         history = bayes_opt(
-            lambda x: float(-np.cos(3 * x[0])), UNIT_1D, t_rounds=6, seed=2
+            lambda x: float(np.cos(3 * x[0])), UNIT_1D, t_rounds=6, seed=2
         )
-        values = [v for _, v in history.trials]
-        assert history.best_value == max(values)
-        k = int(np.argmax(values))
-        assert np.array_equal(history.best_point, history.trials[k][0])
+        values = [v for _, v in history.evaluations]
+        assert history.best_value == min(values)
+        k = int(np.argmin(values))
+        assert np.array_equal(history.best_point, history.evaluations[k][0])
 
     def test_all_points_inside_bounds(self):
         bounds = np.array([[-1.0, 2.0], [10.0, 11.0]])
-        history = bayes_opt(lambda x: float(-x[0] ** 2), bounds, t_rounds=8, seed=3)
-        for x, _ in history.trials:
+        history = bayes_opt(lambda x: float(x[0] ** 2), bounds, t_rounds=8, seed=3)
+        for x, _ in history.evaluations:
             assert np.all(x >= bounds[:, 0] - 1e-12)
             assert np.all(x <= bounds[:, 1] + 1e-12)
 
     def test_constant_objective_does_not_crash(self):
         history = bayes_opt(lambda x: 1.0, UNIT_2D, t_rounds=5, seed=4)
         assert history.best_value == 1.0
-        assert len(history.trials) == 10
+        assert len(history.evaluations) == 10
 
     def test_objective_failure_attaches_partial_history(self):
         calls = []
@@ -341,7 +348,7 @@ class TestBayesOpt:
 
         with pytest.raises(ObjectiveEvaluationError) as err:
             bayes_opt(flaky, UNIT_1D, t_rounds=5, n_init=5, seed=5)
-        assert len(err.value.history.trials) == 3
+        assert len(err.value.history.evaluations) == 3
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_value_is_objective_failure(self, bad):
@@ -353,7 +360,7 @@ class TestBayesOpt:
 
         with pytest.raises(ObjectiveEvaluationError, match="non-finite") as err:
             bayes_opt(overflowing, UNIT_1D, t_rounds=5, n_init=5, seed=5)
-        assert len(err.value.history.trials) == 2
+        assert len(err.value.history.evaluations) == 2
 
     def test_constant_objective_evaluates_the_scipy_halton_design(self):
         # constant values give the GP no signal, so every round falls back to
@@ -365,13 +372,31 @@ class TestBayesOpt:
         halton = qmc.Halton(d=3, scramble=True, seed=halton_seed)
         design = [halton.random(n_init)] + [halton.random(1) for _ in range(t_rounds)]
         expected = bounds[:, 0] + np.vstack(design) * (bounds[:, 1] - bounds[:, 0])
-        assert np.array_equal(np.array([x for x, _ in history.trials]), expected)
+        assert np.array_equal(np.array([x for x, _ in history.evaluations]), expected)
 
     def test_round_and_init_validation(self):
         with pytest.raises(ValueError):
             bayes_opt(lambda x: 0.0, UNIT_1D, t_rounds=0)
         with pytest.raises(ValueError):
             bayes_opt(lambda x: 0.0, UNIT_1D, t_rounds=1, n_init=0)
+        calls = []
+
+        def objective(x):
+            calls.append(x)
+            return 0.0
+
+        bad = [dict(bounds=b) for b in BAD_BOUNDS_1D] + [
+            dict(t_rounds=2.5), dict(t_rounds=True), dict(t_rounds="2"),
+            dict(n_init=2.5), dict(n_init=False), dict(kappa=-1.0), dict(kappa=np.nan),
+        ]
+        for fields in bad:
+            args = dict(bounds=UNIT_1D, t_rounds=2, n_init=2, kappa=2.0) | fields
+            with pytest.raises(ValueError) as err:
+                bayes_opt(objective, **args)
+            assert "\n" not in str(err.value)
+        assert calls == []
+        pinned = bayes_opt(objective, np.array([[0.4, 0.4]]), t_rounds=1, n_init=2)
+        assert [x.tolist() for x, _ in pinned.evaluations] == [[0.4]] * 3
 
 
 class TestScrambledHalton:

@@ -209,6 +209,20 @@ class TestMinimize:
             minimize(quadratic, [0.0, 0.0], budget=0)
         with pytest.raises(ValueError):
             minimize(quadratic, [0.0, 0.0], bounds=np.array([[0.0, 1.0]]))
+        calls = []
+
+        def objective(x):
+            calls.append(x)
+            return quadratic(x)
+
+        # inverted, NaN and infinite boxes
+        for bad in ([1.0, 0.0], [np.nan, 1.0], [0.0, np.inf], [-np.inf, 0.0]):
+            with pytest.raises(ValueError, match="bounds must be finite with low <= high") as err:
+                minimize(objective, [0.2, 0.3], bounds=np.array([bad, [0.0, 1.0]]), budget=20)
+            assert "\n" not in str(err.value)
+        assert calls == []
+        pinned = minimize(objective, [0.2, 0.3], bounds=[[0.2, 0.2], [0.0, 1.0]], budget=20)
+        assert len(pinned.evaluations) == len(calls) > 0
 
     @pytest.mark.parametrize("budget", [2.5, 3.0, "4", True, None])
     def test_budget_must_be_an_integer(self, budget):

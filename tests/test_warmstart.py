@@ -123,7 +123,7 @@ class TestTrainInit:
         n_init, t_rounds, seed = 4, 3, 5
         init = train_init(insts, p=2, t_rounds=t_rounds, seed=seed, n_init=n_init)
         history = bayes_opt(
-            lambda th: -meta_objective(models, QaoaParams.from_vector(th)),
+            lambda th: meta_objective(models, QaoaParams.from_vector(th)),
             angle_bounds(2),
             t_rounds,
             kappa=2.0,
@@ -132,8 +132,8 @@ class TestTrainInit:
             kernel=SquaredExponentialKernel(length_scale=TRAIN_LENGTH_SCALE),
         )
         assert np.array_equal(init.to_vector(), history.best_point)
-        design_best = max(v for _, v in history.trials[:n_init])
-        assert history.best_value >= design_best
+        design_best = min(v for _, v in history.evaluations[:n_init])
+        assert history.best_value <= design_best
 
     def test_validation(self):
         insts = small_instances(3, seed=15)
