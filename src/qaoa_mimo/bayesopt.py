@@ -7,8 +7,9 @@ Everything is deterministic in the caller's seed: quasi-random initial design,
 multi-start pattern search for the acquisition, and the Philox
 substreams behind both.  The design is Owen's scrambled Halton (Owen 2017),
 drawn in numpy bit-identically to scipy.stats.qmc.Halton(d, scramble=True,
-seed=s) under scipy 1.17.1, so scipy.stats is never imported; functions
-import the rest of scipy they use, so importing this module loads none of it.
+seed=s) under scipy 1.17.1.  The GP follows Algorithm 2.1 of Rasmussen and
+Williams, "Gaussian Processes for Machine Learning" (2006), in numpy: the
+module imports no scipy.
 """
 
 import math
@@ -40,8 +41,10 @@ class SquaredExponentialKernel:
     noise_variance: float = 1e-6
 
     def matrix(self, xa, xb):
-        from scipy.spatial import distance  # cheaper per call than importing cdist itself
-        sq = distance.cdist(np.atleast_2d(xa), np.atleast_2d(xb), "sqeuclidean")
+        diff = np.atleast_2d(xa)[:, None, :] - np.atleast_2d(xb)[None, :, :]
+        diff *= diff
+        # a running sum adds the axes in order, as cdist's "sqeuclidean" does (np.sum may not)
+        sq = np.add.accumulate(diff, axis=2)[:, :, -1]
         return self.signal_variance * np.exp(-0.5 * sq / self.length_scale**2)
 
 
@@ -50,12 +53,12 @@ class GpPosterior:
     points: np.ndarray
     kernel: SquaredExponentialKernel
     noise_variance: float  # jitter actually used (>= kernel.noise_variance)
-    _factor: tuple = field(repr=False, default=None)
+    _linv: np.ndarray = field(repr=False, default=None)  # inverse Cholesky factor
     _alpha: np.ndarray = field(repr=False, default=None)
 
 
 def gp_fit(points, observations, kernel=None):
-    """Fit the GP posterior, caching the Cholesky solve of (K + s_n^2 I).
+    """Fit the GP posterior, caching L^-1 for the Cholesky factor L of (K + s_n^2 I).
 
     If the factorization fails, the noise term is escalated tenfold up to
     ``MAX_JITTER`` before a numeric error is allowed to propagate.
@@ -66,25 +69,30 @@ def gp_fit(points, observations, kernel=None):
         raise ValueError("points and observations must have equal length")
     if points.shape[0] < 1:
         raise ValueError("at least one observation is required")
+    if not (np.isfinite(points).all() and np.isfinite(observations).all()):
+        raise ValueError("points and observations must be finite")
     kernel = kernel if kernel is not None else SquaredExponentialKernel()
-    if kernel.noise_variance <= 0:
-        raise ValueError("noise_variance must be positive")
-    from scipy.linalg import cho_factor, cho_solve
-
+    if not 0 < kernel.noise_variance < math.inf:
+        raise ValueError("noise_variance must be positive and finite")
     base = kernel.matrix(points, points)
+    if not np.isfinite(base).all():
+        raise ValueError("kernel parameters must give a finite kernel matrix")
     eye = np.eye(points.shape[0])
     noise = kernel.noise_variance
     while True:
         try:
-            factor = cho_factor(base + noise * eye, lower=True)
+            chol = np.linalg.cholesky(base + noise * eye)
             break
         except np.linalg.LinAlgError:
             if noise >= MAX_JITTER:
                 raise
             noise = min(noise * 10.0, MAX_JITTER)
-    alpha = cho_solve(factor, observations)
+    linv = np.zeros_like(chol)
+    for row in range(len(chol)):  # forward substitution of L L^-1 = I
+        linv[row] = (eye[row] - chol[row, :row] @ linv[:row]) / chol[row, row]
+    alpha = linv.T @ (linv @ observations)
     return GpPosterior(points=points, kernel=kernel, noise_variance=noise,
-                       _factor=factor, _alpha=alpha)
+                       _linv=linv, _alpha=alpha)
 
 
 def gp_predict(post, x):
@@ -97,10 +105,12 @@ def gp_predict(post, x):
         raise ValueError(
             f"query has dimension {x.shape[1]}, posterior has {post.points.shape[1]}"
         )
-    from scipy.linalg import cho_solve
+    if not np.isfinite(x).all():
+        raise ValueError("query points must be finite")
     kstar = post.kernel.matrix(post.points, x)
     mean = post._alpha @ kstar
-    variance = post.kernel.signal_variance - np.sum(kstar * cho_solve(post._factor, kstar), axis=0)
+    v = post._linv @ kstar
+    variance = post.kernel.signal_variance - np.sum(v * v, axis=0)
     if np.any(variance < -1e-10):
         raise np.linalg.LinAlgError(
             f"negative predictive variance {variance.min()}; factorization is unusable"

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
+from scipy.spatial.distance import cdist
 from scipy.stats import qmc
 
 from qaoa_mimo.bayesopt import (
+    MAX_JITTER,
     SquaredExponentialKernel,
     _compass_search,
     _ScrambledHalton,
@@ -154,6 +157,37 @@ class TestGpFit:
         (mean,), (variance,) = gp_predict(post, [0.0, 0.0])
         assert np.isfinite(mean) and variance >= 0.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_inputs_raise(self, bad):
+        # the check_finite contract of the scipy routines this GP replaced
+        points, values = np.array([[0.1, 0.2], [0.7, 0.4]]), np.array([1.0, -1.0])
+        for where in (points, values):
+            broken = where.copy()
+            broken.flat[-1] = bad
+            args = (broken, values) if where is points else (points, broken)
+            with pytest.raises(ValueError, match="finite"):
+                gp_fit(*args)
+        for kernel in (SquaredExponentialKernel(signal_variance=bad),
+                       SquaredExponentialKernel(length_scale=0.0),
+                       SquaredExponentialKernel(noise_variance=bad)):
+            with pytest.raises(ValueError, match="finite"), np.errstate(all="ignore"):
+                gp_fit(points, values, kernel)
+        post = gp_fit(points, values)
+        with pytest.raises(ValueError, match="finite"):
+            gp_predict(post, [[0.5, 0.5], [0.3, bad]])
+
+    def test_non_pd_kernel_raises_at_max_jitter(self, monkeypatch):
+        cholesky, tried = np.linalg.cholesky, []
+
+        def recording(matrix):
+            tried.append(matrix[0, 0] + 1.0)  # signal variance -1 plus the jitter
+            return cholesky(matrix)
+
+        monkeypatch.setattr(np.linalg, "cholesky", recording)
+        with pytest.raises(np.linalg.LinAlgError):
+            gp_fit([[0.1], [0.6]], [1.0, 2.0], SquaredExponentialKernel(signal_variance=-1.0))
+        np.testing.assert_allclose(tried, [1e-6, 1e-5, 1e-4, 1e-3, MAX_JITTER], rtol=1e-9)
+
 
 class TestGpPredict:
     def test_matches_direct_formula_random_sets(self):
@@ -212,6 +246,38 @@ class TestGpPredict:
             single = np.array([[v[0] for v in gp_predict(post, x)] for x in queries])
             np.testing.assert_allclose(mean, single[:, 0], rtol=1e-8, atol=1e-8)
             np.testing.assert_allclose(variance, single[:, 1], rtol=1e-8, atol=1e-8)
+
+
+class TestScipyReference:
+    """The numpy GP against the scipy routines it replaced."""
+
+    @pytest.mark.parametrize("d", range(1, 17))
+    def test_kernel_distances_bit_identical_to_cdist(self, d):
+        gen = np.random.default_rng(d)
+        kernel = SquaredExponentialKernel()
+        for m, q in [(1, 1), (40, 40)] + [tuple(gen.integers(1, 41, size=2)) for _ in range(20)]:
+            xa, xb = gen.normal(scale=3.0, size=(m, d)), gen.random((q, d))
+            want = np.exp(-0.5 * cdist(xa, xb, "sqeuclidean") / kernel.length_scale**2)
+            assert kernel.matrix(xa, xb).tobytes() == want.tobytes(), (m, q)
+
+    def test_predictions_match_cho_solve(self):
+        # Two backward-stable solves agree to about cond(K) * eps, so the
+        # 1e-12 bound widens only where few dimensions crowd the points.
+        gen = np.random.default_rng(8)
+        for _ in range(200):
+            d, m = int(gen.integers(1, 9)), int(gen.integers(1, 31))
+            kernel = SquaredExponentialKernel(length_scale=float(gen.uniform(0.1, 0.6)))
+            points, values = gen.random((m, d)), gen.normal(size=m)
+            post = gp_fit(points, values, kernel)
+            queries = np.vstack([gen.random((int(gen.integers(1, 38)), d)), points[:2]])
+            k_matrix = kernel.matrix(points, points) + post.noise_variance * np.eye(m)
+            factor, kstar = cho_factor(k_matrix, lower=True), kernel.matrix(points, queries)
+            mean_ref = cho_solve(factor, values) @ kstar
+            var_ref = kernel.signal_variance - np.sum(kstar * cho_solve(factor, kstar), axis=0)
+            mean, variance = gp_predict(post, queries)
+            atol = max(1e-12, 1e-14 * np.linalg.cond(k_matrix))
+            np.testing.assert_allclose(mean, mean_ref, rtol=0, atol=atol)
+            np.testing.assert_allclose(variance, np.maximum(var_ref, 0.0), rtol=0, atol=atol)
 
 
 class TestCompassSearch:

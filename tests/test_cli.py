@@ -1,6 +1,9 @@
+import ast
 import dataclasses
+import glob
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -730,6 +733,43 @@ class TestSelftestAndErrors:
     def test_selftest_leaves_scipy_stats_unloaded(self):
         code = "from qaoa_mimo import cli; assert cli.main(['selftest', '--seed', '3']) == 0"
         assert self.exit_code_without_scipy(code, "scipy.stats") == 0
+
+    def test_train_init_leaves_scipy_unloaded(self, tmp_path):
+        instances = tmp_path / "inst.jsonl"
+        write_instances(instances, [make_identity_instance([1, -1], seed=5)])
+        config = write_config(
+            tmp_path, "t.json", instances=str(instances), p=1, t_rounds=2, n_init=2, seed=3
+        )
+        out = str(tmp_path / "init.json")
+        code = (
+            "from qaoa_mimo import cli; "
+            f"assert cli.main(['train-init', '--config', {config!r}, '--out', {out!r}]) == 0"
+        )
+        assert self.exit_code_without_scipy(code) == 0
+        assert os.path.exists(out)
+
+    def test_selftest_leaves_scipy_unloaded(self):
+        code = "from qaoa_mimo import cli; assert cli.main(['selftest', '--seed', '3']) == 0"
+        assert self.exit_code_without_scipy(code) == 0
+
+    def test_third_party_imports_are_runtime_dependencies(self):
+        tomllib = pytest.importorskip("tomllib")
+        package = os.path.dirname(cli.__file__)
+        with open(os.path.join(package, "..", "..", "pyproject.toml"), "rb") as f:
+            project = tomllib.load(f)["project"]
+        declared = {re.match(r"[\w.-]+", dep).group().lower().replace("-", "_")
+                    for dep in project["dependencies"]}
+        imported = set()
+        for path in glob.glob(os.path.join(package, "*.py")):
+            with open(path) as f:
+                for node in ast.walk(ast.parse(f.read())):  # function-level imports too
+                    if isinstance(node, ast.Import):
+                        imported.update(alias.name.split(".")[0] for alias in node.names)
+                    elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                        imported.add(node.module.split(".")[0])
+        third_party = imported - set(sys.stdlib_module_names)
+        assert "numpy" in third_party and third_party <= declared
+        assert "scipy" not in declared
 
     def test_selftest_passes(self, capsys):
         assert cli.main(["selftest", "--seed", "3"]) == 0
