@@ -41,11 +41,23 @@ class SquaredExponentialKernel:
     noise_variance: float = 1e-6
 
     def matrix(self, xa, xb):
-        diff = np.atleast_2d(xa)[:, None, :] - np.atleast_2d(xb)[None, :, :]
+        xa, xb = (np.atleast_2d(np.asarray(z, dtype=np.float64)) for z in (xa, xb))
+        return self._from_columns(xa.T, xb.T)
+
+    def _from_columns(self, xa_t, xb_t):
+        """The matrix between the columns of (d, m) ``xa_t`` and (d, q) ``xb_t``."""
+        diff = xa_t[:, :, None] - xb_t[:, None, :]  # d slabs of (m, q)
         diff *= diff
-        # a running sum adds the axes in order, as cdist's "sqeuclidean" does (np.sum may not)
-        sq = np.add.accumulate(diff, axis=2)[:, :, -1]
-        return self.signal_variance * np.exp(-0.5 * sq / self.length_scale**2)
+        # slab by slab adds the axes in order, as cdist's "sqeuclidean" does (np.sum may
+        # not); np.add.accumulate(axis=0) gets the same bits, 1.6-6x slower from q = 10
+        sq = diff[0]
+        for plane in diff[1:]:
+            sq += plane
+        sq *= -0.5
+        sq /= self.length_scale**2
+        np.exp(sq, out=sq)
+        sq *= self.signal_variance
+        return sq
 
 
 @dataclass
@@ -55,6 +67,7 @@ class GpPosterior:
     noise_variance: float  # jitter actually used (>= kernel.noise_variance)
     _linv: np.ndarray = field(repr=False, default=None)  # inverse Cholesky factor
     _alpha: np.ndarray = field(repr=False, default=None)
+    _points_t: np.ndarray = field(repr=False, default=None)  # (d, m) copy of points
 
 
 def gp_fit(points, observations, kernel=None):
@@ -91,31 +104,36 @@ def gp_fit(points, observations, kernel=None):
     for row in range(len(chol)):  # forward substitution of L L^-1 = I
         linv[row] = (eye[row] - chol[row, :row] @ linv[:row]) / chol[row, row]
     alpha = linv.T @ (linv @ observations)
-    return GpPosterior(points=points, kernel=kernel, noise_variance=noise,
-                       _linv=linv, _alpha=alpha)
+    return GpPosterior(points=points, kernel=kernel, noise_variance=noise, _linv=linv,
+                       _alpha=alpha, _points_t=np.ascontiguousarray(points.T))
 
 
 def gp_predict(post, x):
     """Posterior predictive (mean, variance), each of shape (m,), at the rows of
-    an (m, d) ``x``; one (d,) point is a batch of one.  Variance pushed
-    slightly below zero by roundoff is clamped; under -1e-10 it is a failure.
+    an (m, d) ``x``; one (d,) point is a batch of one, and an empty (0, d)
+    batch gives two empty arrays.  A query of another dimension or with a
+    non-finite entry raises ValueError.  Variance pushed slightly below zero
+    by roundoff is clamped; under -1e-10 it raises LinAlgError.  The kernel
+    is taken against the (d, m) copy of the training points kept at fit
+    time, so a call is about twenty numpy calls whatever the batch size.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[1] != post.points.shape[1]:
+    if x.ndim != 2 or x.shape[1] != post.points.shape[1]:
         raise ValueError(
-            f"query has dimension {x.shape[1]}, posterior has {post.points.shape[1]}"
+            f"query has shape {x.shape}, posterior has dimension {post.points.shape[1]}"
         )
     if not np.isfinite(x).all():
         raise ValueError("query points must be finite")
-    kstar = post.kernel.matrix(post.points, x)
+    kstar = post.kernel._from_columns(post._points_t, x.T)
     mean = post._alpha @ kstar
     v = post._linv @ kstar
-    variance = post.kernel.signal_variance - np.sum(v * v, axis=0)
-    if np.any(variance < -1e-10):
+    v *= v
+    variance = post.kernel.signal_variance - np.add.reduce(v, axis=0)  # np.sum's bits
+    if (variance < -1e-10).any():
         raise np.linalg.LinAlgError(
             f"negative predictive variance {variance.min()}; factorization is unusable"
         )
-    return mean, np.maximum(variance, 0.0)
+    return mean, np.maximum(variance, 0.0, out=variance)
 
 
 def _compass_search(score, starts, low, high, max_evals):
@@ -124,35 +142,49 @@ def _compass_search(score, starts, low, high, max_evals):
     Per axis, a start tries +step then -step and keeps a strict improvement;
     a sweep without one halves its step.  It stops at exactly ``max_evals``
     evaluations or at a step of 1e-3 span.  A move clipped to no change costs
-    none.  All starts advance together, one ``score`` call per move.
+    none.  All starts advance together, one ``score`` call per move on the
+    rows of the starts it moves, in start order.  The points stay one (m, d)
+    array, whose rows each batch takes with one ``take``; each start's step,
+    best value and count are Python floats and ints.
     """
-    span = high - low
-    floor = 1e-3 * span
+    low, high = low.tolist(), high.tolist()
+    span = [b - a for a, b in zip(low, high)]
+    floor = [1e-3 * s for s in span]
+    axes = [axis for axis, s in enumerate(span) if s]
     x = starts.copy()
-    best = score(x)
-    step = np.tile(0.25 * span, (len(x), 1))
-    evals = np.ones(len(x), dtype=np.int64)
-    live = evals < max_evals
-    while live.any():
-        improved = np.zeros(len(x), dtype=bool)
-        for axis in np.flatnonzero(span):
+    best = score(x).tolist()
+    step = [[0.25 * s for s in span] for _ in best]
+    evals = [1] * len(best)
+    live = list(range(len(best))) if max_evals > 1 else []
+    while live:
+        improved = set()
+        for axis in axes:
+            lo, hi = low[axis], high[axis]
             for sign in (1.0, -1.0):
-                cand = np.clip(x[:, axis] + sign * step[:, axis], low[axis], high[axis])
-                moving = np.flatnonzero(live & (cand != x[:, axis]))
-                if moving.size == 0:
+                now = x[:, axis].tolist()
+                moving, cands = [], []
+                for i in live:
+                    cand = now[i] + sign * step[i][axis]
+                    # np.clip's comparisons: a tie keeps cand, and with it its zero's sign
+                    cand = lo if cand < lo else hi if cand > hi else cand
+                    if cand != now[i]:
+                        moving.append(i)
+                        cands.append(cand)
+                if not moving:
                     continue
-                trial = x[moving]
-                trial[:, axis] = cand[moving]
-                value = score(trial)
-                evals[moving] += 1
-                better = value > best[moving]
-                x[moving[better]], best[moving[better]] = trial[better], value[better]
-                improved[moving[better]] = True
-                live &= evals < max_evals
-        halving = live & ~improved
-        step[halving] *= 0.5
-        live &= ~(halving & np.all(step <= floor, axis=1))
-    return x, best
+                trial = x.take(moving, axis=0)
+                trial[:, axis] = cands
+                for i, cand, value in zip(moving, cands, score(trial).tolist()):
+                    evals[i] += 1
+                    if value > best[i]:
+                        x[i, axis], best[i] = cand, value
+                        improved.add(i)
+                live = [i for i in live if evals[i] < max_evals]
+        for i in [i for i in live if i not in improved]:
+            step[i] = [s * 0.5 for s in step[i]]
+            if all(s <= f for s, f in zip(step[i], floor)):
+                live.remove(i)
+    return x, np.array(best)
 
 
 def maximize_acquisition(post, bounds, kappa, seed):

@@ -19,13 +19,17 @@ dense 2^w x 2^w matrix product, so it makes ceil(n / MIXER_BLOCK)
 passes over the amplitudes instead of n single-qubit sweeps.  Each
 product is computed as a stack of products small enough for OpenBLAS to
 run on the calling thread, so its time does not depend on whether a
-second core is free.
+second core is free.  A block depends only on its width and beta, so it
+is built once per (width, beta) and kept read-only in a cache of at most
+MIXER_CACHE blocks: every model of one ensemble evaluation shares the
+blocks of its layers, and an n = 6 layer's two width-3 blocks are one.
 
 Expectations are computed exactly from the final probabilities
 (infinite-shot limit).  A model's diagonal is built the first time it
 is simulated and kept with the model for every later call.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +42,10 @@ DEFAULT_QUBIT_CAP = 20
 
 # Widest mixer block: a 32 x 32 unitary per pass over the amplitudes.
 MIXER_BLOCK = 5
+
+# Mixer blocks kept, least recently used dropped first: all of a p <= 32
+# circuit's (two widths per layer), in at most 64 x 16 KB.
+MIXER_CACHE = 64
 
 # Largest matrix product (m * n * k multiply-adds) that OpenBLAS runs on
 # the calling thread.  A product it splits across threads waits for a
@@ -139,13 +147,21 @@ def _model_diagonal(model, max_qubits):
 
 
 def _mixer_block(w, beta):
-    """Rx(2 beta)^{(x) w} as a 2^w x 2^w matrix.
+    """Rx(2 beta)^{(x) w} as a read-only 2^w x 2^w matrix, built once per
+    width and bit pattern of beta (so -0.0 and 0.0 stay apart) and kept in
+    a cache of at most MIXER_CACHE blocks."""
+    return _built_mixer_block(w, np.float64(beta).tobytes())
 
-    Entry (i, j) is cos(beta)^(w-d) * (-i sin(beta))^d with d = popcount(i ^ j).
-    """
+
+@functools.lru_cache(maxsize=MIXER_CACHE)
+def _built_mixer_block(w, beta_bytes):
+    """Entry (i, j) is cos(beta)^(w-d) * (-i sin(beta))^d with d = popcount(i ^ j)."""
+    beta = np.frombuffer(beta_bytes)[0]
     d = np.arange(w + 1)
     factors = np.cos(beta) ** (w - d) * np.sin(beta) ** d * _FLIP_PHASE[: w + 1]
-    return factors[_FLIPS[: 1 << w, : 1 << w]]
+    block = factors[_FLIPS[: 1 << w, : 1 << w]]
+    block.flags.writeable = False
+    return block
 
 
 def _block_widths(n):

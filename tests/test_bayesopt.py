@@ -81,6 +81,52 @@ def reference_multistart(score, starts, low, high, max_evals):
     return runs, best_x
 
 
+def lockstep_compass_search(score, starts, low, high, max_evals):
+    """The all-numpy lockstep search that _compass_search replaced, frozen: the
+    sequence of batches it hands ``score`` is what the GP's bits depend on."""
+    span = high - low
+    floor = 1e-3 * span
+    x = starts.copy()
+    best = score(x)
+    step = np.tile(0.25 * span, (len(x), 1))
+    evals = np.ones(len(x), dtype=np.int64)
+    live = evals < max_evals
+    while live.any():
+        improved = np.zeros(len(x), dtype=bool)
+        for axis in np.flatnonzero(span):
+            for sign in (1.0, -1.0):
+                cand = np.clip(x[:, axis] + sign * step[:, axis], low[axis], high[axis])
+                moving = np.flatnonzero(live & (cand != x[:, axis]))
+                if moving.size == 0:
+                    continue
+                trial = x[moving]
+                trial[:, axis] = cand[moving]
+                value = score(trial)
+                evals[moving] += 1
+                better = value > best[moving]
+                x[moving[better]], best[moving[better]] = trial[better], value[better]
+                improved[moving[better]] = True
+                live &= evals < max_evals
+        halving = live & ~improved
+        step[halving] *= 0.5
+        live &= ~(halving & np.all(step <= floor, axis=1))
+    return x, best
+
+
+def per_axis_predict(post, x):
+    """gp_predict as first written in numpy, frozen: (m, q, d) distances summed
+    along the last axis by a running sum, and fresh arrays for every step."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    kernel = post.kernel
+    diff = post.points[:, None, :] - x[None, :, :]
+    diff *= diff
+    sq = np.add.accumulate(diff, axis=2)[:, :, -1]
+    kstar = kernel.signal_variance * np.exp(-0.5 * sq / kernel.length_scale**2)
+    mean = post._alpha @ kstar
+    v = post._linv @ kstar
+    return mean, np.maximum(kernel.signal_variance - np.sum(v * v, axis=0), 0.0)
+
+
 def rowwise_score(x, plateau=False):
     """Deterministic row-wise score: a batch row and a lone point get the same bits."""
     total = np.zeros(len(x))
@@ -173,8 +219,9 @@ class TestGpFit:
             with pytest.raises(ValueError, match="finite"), np.errstate(all="ignore"):
                 gp_fit(points, values, kernel)
         post = gp_fit(points, values)
-        with pytest.raises(ValueError, match="finite"):
-            gp_predict(post, [[0.5, 0.5], [0.3, bad]])
+        for x in ([[0.5, 0.5], [0.3, bad]], [bad, 0.5]):
+            with pytest.raises(ValueError, match="finite"):
+                gp_predict(post, x)
 
     def test_non_pd_kernel_raises_at_max_jitter(self, monkeypatch):
         cholesky, tried = np.linalg.cholesky, []
@@ -227,10 +274,13 @@ class TestGpPredict:
             gp_predict(post, [0.1])
         with pytest.raises(ValueError):
             gp_predict(post, np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="query has shape"):
+            gp_predict(post, np.zeros((1, 2, 2)))
 
     def test_output_shapes(self):
         post = gp_fit(np.random.default_rng(5).random((4, 3)), [0.1, -0.2, 0.3, 0.0])
-        for x, m in ((np.zeros((7, 3)), 7), (np.zeros((1, 3)), 1), (np.zeros(3), 1)):
+        for x, m in ((np.zeros((7, 3)), 7), (np.zeros((1, 3)), 1), (np.zeros(3), 1),
+                     (np.zeros((0, 3)), 0)):
             mean, variance = gp_predict(post, x)
             assert mean.shape == variance.shape == (m,)
             assert mean.dtype == variance.dtype == np.float64
@@ -246,6 +296,33 @@ class TestGpPredict:
             single = np.array([[v[0] for v in gp_predict(post, x)] for x in queries])
             np.testing.assert_allclose(mean, single[:, 0], rtol=1e-8, atol=1e-8)
             np.testing.assert_allclose(variance, single[:, 1], rtol=1e-8, atol=1e-8)
+
+
+    @pytest.mark.parametrize("d", [1, 6, 8, 16])
+    def test_bits_equal_frozen_formula(self, d):
+        gen = np.random.default_rng(100 + d)
+        for m, q in [(1, 1), (30, 40), (30, 1), (1, 40)] + [
+                tuple(gen.integers(1, [31, 41])) for _ in range(30)]:
+            kernel = SquaredExponentialKernel(
+                signal_variance=float(gen.uniform(0.5, 2.0)),
+                length_scale=float(gen.uniform(0.1, 0.6)))
+            post = gp_fit(gen.random((m, d)), gen.normal(size=m), kernel)
+            queries = np.vstack([gen.random((q, d)), post.points[:2]])
+            for got, want in zip(gp_predict(post, queries), per_axis_predict(post, queries)):
+                assert got.tobytes() == want.tobytes(), (m, q)
+
+    def test_point_is_batch_of_one(self):
+        gen = np.random.default_rng(10)
+        post = gp_fit(gen.random((7, 4)), gen.normal(size=7))
+        x = gen.random(4)
+        for got, want in zip(gp_predict(post, x), gp_predict(post, x[None, :])):
+            assert got.shape == (1,) and got.tobytes() == want.tobytes()
+
+    def test_negative_variance_raises_lin_alg_error(self):
+        post = gp_fit([[0.2], [0.7]], [1.0, 0.5])
+        post._linv = 2.0 * post._linv  # a broken factor: v.v is 4x the prior variance
+        with pytest.raises(np.linalg.LinAlgError, match="negative predictive variance"):
+            gp_predict(post, [[0.9], [0.2]])
 
 
 class TestScipyReference:
@@ -297,6 +374,38 @@ class TestCompassSearch:
         starts = np.array([[0.1, 0.1], [0.2, 0.2], [0.9, 0.9], [0.1, 0.1]])
         self.assert_matches(lambda x: np.zeros(len(x)), starts, low, high, 400)
 
+    @pytest.mark.parametrize("max_evals", [2, 7, 600])
+    def test_tie_with_negative_zero_bound(self, max_evals):
+        # from 0.25, the -step move lands on 0.0, a tie with the -0.0 bound that
+        # np.clip resolves to +0.0; 7 evaluations end in the second sweep
+        low, high = np.array([-0.0, -1.0]), np.array([1.0, 0.5])
+        starts = np.array([[0.25, 0.0], [0.5, -0.5], [0.0, 0.5], [1.0, -1.0]])
+        self.assert_matches(rowwise_score, starts, low, high, max_evals)
+
+    def test_same_score_calls_in_acquisition_search(self):
+        # no per-start reference here: a GP row's bits depend on its batch
+        gen = np.random.default_rng(12)
+        post = gp_fit(gen.random((15, 6)), gen.normal(size=15))
+        low, high = np.zeros(6), np.ones(6)
+        starts = np.vstack([gen.random((8, 6)), post.points])
+        self.assert_same_calls(lambda x: acquisition_value(post, x, 2.0), starts, low, high, 1200)
+
+    @staticmethod
+    def assert_same_calls(score, starts, low, high, max_evals):
+        """The same score batches (shape and row bytes, in order) and the same
+        result bytes as the frozen lockstep search."""
+        def run(search):
+            calls = []
+
+            def recording(x):
+                calls.append((x.shape, x.tobytes()))
+                return score(x)
+
+            result = search(recording, starts.copy(), low, high, max_evals)
+            return calls, [a.tobytes() for a in result]
+
+        assert run(_compass_search) == run(lockstep_compass_search)
+
     @staticmethod
     def assert_matches(score, starts, low, high, max_evals):
         scored = []
@@ -314,6 +423,7 @@ class TestCompassSearch:
             assert best[row] == ref_best
         assert sum(scored) == sum(evals for _, _, evals in runs)
         assert np.array_equal(x[np.argmax(best)], winner)
+        TestCompassSearch.assert_same_calls(score, starts, low, high, max_evals)
 
 
 class TestMaximizeAcquisition:

@@ -14,10 +14,14 @@ from qaoa_mimo.errors import ResourceLimitError
 from qaoa_mimo.instances import generate_instance
 from qaoa_mimo.ising import IsingModel, build_ising, index_to_spins, ising_energy
 from qaoa_mimo.simulator import (
+    _FLIP_PHASE,
+    _FLIPS,
     MIXER_BLOCK,
+    MIXER_CACHE,
     PHASE_BLOCK,
     QaoaParams,
     expectation,
+    _built_mixer_block,
     _mixer_block,
     _phase,
     hamiltonian_diagonal,
@@ -221,6 +225,54 @@ class TestBlockedMixer:
             )
             expected = functools.reduce(np.kron, [rx] * w)
             assert np.allclose(_mixer_block(w, beta), expected, rtol=0, atol=1e-15)
+
+
+def fresh_mixer_block(w, beta):
+    """The block as built before blocks were cached, for every call."""
+    d = np.arange(w + 1)
+    factors = np.cos(beta) ** (w - d) * np.sin(beta) ** d * _FLIP_PHASE[: w + 1]
+    return factors[_FLIPS[: 1 << w, : 1 << w]]
+
+
+class TestMixerCache:
+    # 0.0 and -0.0 compare equal, and so do their hashes; their blocks do not
+    BETAS = (0.0, -0.0, np.pi, np.nextafter(np.pi, 4.0))
+
+    def test_cached_block_is_read_only(self):
+        block = _mixer_block(3, 0.7)
+        assert not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[0, 0] = 0.0
+        assert _mixer_block(3, 0.7) is block
+
+    def test_cached_blocks_equal_fresh_builds(self):
+        _built_mixer_block.cache_clear()
+        # a list, not a dict: a dict keyed on beta would merge 0.0 and -0.0 itself
+        cached = [(w, beta, _mixer_block(w, beta))
+                  for w in range(1, MIXER_BLOCK + 1) for beta in self.BETAS]
+        for w, beta, block in cached:
+            assert block.tobytes() == fresh_mixer_block(w, beta).tobytes(), (w, beta)
+        # each pair of betas has a width whose fresh blocks differ, so a key
+        # that merged them would have handed one the other's block above
+        for a, b in zip(self.BETAS[::2], self.BETAS[1::2]):
+            assert any(fresh_mixer_block(w, a).tobytes() != fresh_mixer_block(w, b).tobytes()
+                       for w in range(1, MIXER_BLOCK + 1)), (a, b)
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 7])
+    def test_expectation_bits_with_cold_and_warm_cache(self, n):
+        model = build_ising(generate_instance(n, n, 1.0, seed=n))
+        params = QaoaParams(p=3, gammas=[0.1, 0.2, 0.3], betas=[0.9, -0.0, 0.9])
+        _built_mixer_block.cache_clear()
+        cold = expectation(model, params)
+        assert _built_mixer_block.cache_info().hits > 0  # the third layer reuses the first's
+        warm = expectation(model, params)
+        assert np.float64(cold).tobytes() == np.float64(warm).tobytes()
+
+    def test_size_is_bounded(self):
+        assert _built_mixer_block.cache_info().maxsize == MIXER_CACHE
+        for k in range(MIXER_CACHE + 10):
+            _mixer_block(1 + k % MIXER_BLOCK, 0.01 * k)
+        assert _built_mixer_block.cache_info().currsize == MIXER_CACHE
 
 
 class TestSerialMixer:
