@@ -131,15 +131,15 @@ def _resolve_seed(config, seed_override):
 
 def _resolve_out(config, out_override):
     out = out_override if out_override is not None else config.get("out")
-    if not out:
-        raise ConfigError("an output path is required (config key 'out' or --out)")
+    if not out or not isinstance(out, str):
+        raise ConfigError(f"an output path (config key 'out' or --out) is required, got {out!r}")
     return out
 
 
 def _resolve_path(config, key):
     path = config.get(key)
-    if not path:
-        raise ConfigError(f"config is missing required path {key!r}")
+    if not path or not isinstance(path, str):
+        raise ConfigError(f"config key {key!r} must be a non-empty path string, got {path!r}")
     if not os.path.exists(path):
         raise ConfigError(f"config path {key!r} does not exist: {path}")
     return path
@@ -347,7 +347,7 @@ def _detection_runs(config, seed, methods):
 
 
 def cmd_detect(config, seed, out):
-    method = TRAINED_INIT if config.get("init") else RANDOM_INIT
+    method = RANDOM_INIT if config.get("init") is None else TRAINED_INIT
     instances, runs = _detection_runs(config, seed, (method,))
     failures = 0
     with open(out, "w") as fh:

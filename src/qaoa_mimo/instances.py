@@ -113,7 +113,7 @@ def ml_objective(inst, x):
     return float(residual @ residual)
 
 
-def brute_force_detect(inst, max_antennas=EXHAUSTIVE_CAP):
+def brute_force_detect(inst):
     """Exhaustively minimize the ML objective over all 2^n_t symbol vectors.
 
     Candidates are enumerated as unsigned integers where bit k encodes
@@ -124,9 +124,9 @@ def brute_force_detect(inst, max_antennas=EXHAUSTIVE_CAP):
         (x_best, value): the minimizing symbol vector and its objective.
     """
     n = inst.n_t
-    if n > max_antennas:
+    if n > EXHAUSTIVE_CAP:
         raise ResourceLimitError(
-            f"exhaustive search over 2^{n} candidates exceeds the cap of {max_antennas} antennas"
+            f"exhaustive search over 2^{n} candidates exceeds the cap of {EXHAUSTIVE_CAP} antennas"
         )
     shifts = np.arange(n, dtype=np.uint64)
     # H x for `rows` candidates per product: small enough that OpenBLAS keeps it

@@ -11,8 +11,10 @@ The optimizer is a numpy port of the unconstrained path of PRIMA's COBYLA
 Python by Nickolai Belakovski and shipped in scipy 1.17.1).  It asks for
 the same points, bit for bit, as ``scipy.optimize.minimize(method="COBYLA")``
 with ``tol`` as the final and ``initial_radius(bounds)`` as the initial trust
-radius, including scipy's reuse of the last value when a point is asked
-for twice in a row; the test suite pins it against scipy.  Without
+radius; the test suite pins it against scipy.  The port is a generator that
+yields each point it wants and is sent its value: ``minimize`` alone
+evaluates, adds the penalty, counts the budget and, as scipy does, answers
+a point asked for twice in a row with the last value.  Without
 constraints, PRIMA's penalty parameter never changes, its linear program
 reduces to a step of length delta against the model gradient, and its
 filter and history only choose the returned point, which ``OptTrace``
@@ -62,10 +64,6 @@ _ETA2 = (_ETA1 + 2) / 3  # derived from ETA1 as cobyla.py does
 _GAMMA1 = 0.5
 _GAMMA2 = 2
 _GAMMA3 = 1.5  # max(1, min(0.75 * GAMMA2, 1.5))
-
-
-class _BudgetSpent(Exception):
-    """Raised to stop COBYLA when it asks for an evaluation past the budget."""
 
 
 @dataclass
@@ -163,29 +161,28 @@ def minimize(objective, x0, bounds=None, budget=150, tol=1e-6):
     check_tol(tol, bounds)
 
     evaluations = []
-    last = [None, None]  # the last point asked for and its value
-
-    def evaluate(x):
-        # scipy hands COBYLA the cached value when it asks for the last point again
-        if last[0] is not None and (x == last[0]).all():
-            return min(last[1], _FUNCMAX)
-        if len(evaluations) == budget:
-            raise _BudgetSpent
-        x = x.copy()
-        value = evaluate_guarded(objective, x, evaluations)
-        if bounds is not None:
-            excess = np.maximum(low - x, 0.0) + np.maximum(x - high, 0.0)
-            value += PENALTY_WEIGHT * float(excess @ excess)
-        evaluations.append((x.copy(), value))
-        last[:] = x, value
-        return min(value, _FUNCMAX)
-
     # COBYLA needs d + 2 evaluations at least; a smaller budget stops it
     # when it asks for one more
+    run = _cobyla(x0, initial_radius(bounds), tol, max(budget, x0.size + 2))
+    value, info = None, MAXFUN_REACHED
     try:
-        info = _cobyla(evaluate, x0, initial_radius(bounds), tol, max(budget, x0.size + 2))
-    except _BudgetSpent:
-        info = MAXFUN_REACHED
+        while True:
+            x = run.send(value)
+            # scipy hands COBYLA the cached value when it asks for the last point again
+            if evaluations and (x == evaluations[-1][0]).all():
+                value = evaluations[-1][1]
+            elif len(evaluations) == budget:
+                break
+            else:
+                x = x.copy()
+                value = evaluate_guarded(objective, x, evaluations)
+                if bounds is not None:
+                    excess = np.maximum(low - x, 0.0) + np.maximum(x - high, 0.0)
+                    value += PENALTY_WEIGHT * float(excess @ excess)
+                evaluations.append((x, value))
+            value = min(value, _FUNCMAX)
+    except StopIteration as stop:  # COBYLA returned its exit flag
+        info = stop.value
     return OptTrace.of(evaluations, converged=info == SMALL_TR_RADIUS, reason=_REASONS[info])
 
 
@@ -197,8 +194,9 @@ def minimize(objective, x0, bounds=None, budget=150, tol=1e-6):
 # the rounding is the same.
 
 
-def _cobyla(evaluate, x0, rhobeg, rhoend, maxfun):
-    """Run COBYLA (cobylb.py) and return PRIMA's exit flag."""
+def _cobyla(x0, rhobeg, rhoend, maxfun):
+    """Run COBYLA (cobylb.py) as a generator: it yields each point it wants
+    evaluated, is sent the moderated value, and returns PRIMA's exit flag."""
     n = x0.size
     if abs(rhobeg - rhoend) < 1.0e2 * _EPS * max(abs(rhobeg), 1):
         rhoend = rhobeg
@@ -216,7 +214,7 @@ def _cobyla(evaluate, x0, rhobeg, rhoend, maxfun):
         else:
             j = k - 1
             x[j] += rhobeg
-        fval[j] = evaluate(x)
+        fval[j] = yield x
         if j < n and fval[j] < fval[n]:
             fval[j], fval[n] = fval[n], fval[j]
             sim[:, n] = x
@@ -252,7 +250,7 @@ def _cobyla(evaluate, x0, rhobeg, rhoend, maxfun):
                 delta = rho
         else:
             x = sim[:, n] + d
-            f, nf = _value_at(x, sim, fval, distsq, rhoend, evaluate, nf)
+            f, nf = yield from _value_at(x, sim, fval, distsq, rhoend, nf)
             actrem = fval[n] - f
             ratio = actrem / prerem
             delta = _trrad(delta, dnorm, ratio)
@@ -283,7 +281,7 @@ def _cobyla(evaluate, x0, rhobeg, rhoend, maxfun):
             if -d.dot(g) < d.dot(g):
                 d *= -1
             x = sim[:, n] + d
-            f, nf = _value_at(x, sim, fval, distsq, rhoend, evaluate, nf)
+            f, nf = yield from _value_at(x, sim, fval, distsq, rhoend, nf)
             simi, ok = _updatexfc(jdrop_geo, d, f, fval, sim, simi, eye)
             if not ok:
                 info = DAMAGING_ROUNDING
@@ -302,13 +300,13 @@ def _cobyla(evaluate, x0, rhobeg, rhoend, maxfun):
     if info == SMALL_TR_RADIUS and shortd and nf < maxfun:
         x = sim[:, n] + d
         if _norm(x - sim[:, n]) > 1.0e-3 * rhoend:
-            evaluate(x)
+            yield x
     return info
 
 
-def _value_at(x, sim, fval, distsq, rhoend, evaluate, nf):
+def _value_at(x, sim, fval, distsq, rhoend, nf):
     """The value at x: reused from the nearest vertex if that is within
-    1e-4 * rhoend, otherwise evaluated.  Returns (value, evaluation count)."""
+    1e-4 * rhoend, otherwise yielded.  Returns (value, evaluation count)."""
     n = x.size
     step = x - sim[:, n]
     distsq[n] = (step * step).sum()
@@ -317,7 +315,7 @@ def _value_at(x, sim, fval, distsq, rhoend, evaluate, nf):
     j = distsq.argmin()
     if distsq[j] <= (1e-4 * rhoend) * (1e-4 * rhoend):
         return fval[j], nf
-    return evaluate(x), nf + 1
+    return (yield x), nf + 1
 
 
 def _trstlp(delta, g):

@@ -71,7 +71,6 @@ def train_init(
     seed=0,
     n_init=DEFAULT_TRAIN_N_INIT,
     bounds=None,
-    kernel=None,
     max_qubits=DEFAULT_QUBIT_CAP,
 ):
     """Train shared initial angles on a batch of instances.
@@ -87,14 +86,13 @@ def train_init(
     models = [build_ising(inst) for inst in instances]
     if bounds is None:
         bounds = angle_bounds(p)
-    if kernel is None:
-        kernel = SquaredExponentialKernel(length_scale=TRAIN_LENGTH_SCALE)
 
     def objective(theta):
         return meta_objective(models, QaoaParams.from_vector(theta), max_qubits)
 
     history = bayes_opt(
-        objective, bounds, t_rounds, kappa=kappa, n_init=n_init, seed=seed, kernel=kernel
+        objective, bounds, t_rounds, kappa=kappa, n_init=n_init, seed=seed,
+        kernel=SquaredExponentialKernel(length_scale=TRAIN_LENGTH_SCALE),
     )
     theta = history.best_point
     meta = {

@@ -204,6 +204,28 @@ def test_tol_above_initial_trust_radius_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode, key, value", [
+    ("gen-instances", "out", True),
+    ("detect", "out", ["x"]),
+    ("detect", "instances", 1),
+    ("detect", "init", True),
+    ("train-init", "instances", True),
+    ("compare", "out", 5),
+])
+def test_non_string_path_is_config_error(tmp_path, monkeypatch, capfd, mode, key, value):
+    # true or 1 would otherwise be opened as a file descriptor (stdout)
+    monkeypatch.chdir(tmp_path)
+    write_instances(tmp_path / "inst.jsonl", [make_identity_instance([1, -1], seed=5)])
+    fields = dict(count=1, n_t=2, instances="inst.jsonl", init="inst.jsonl", p=1, t_rounds=1,
+                  seed=1, out="out.jsonl")
+    config = write_config(tmp_path, "c.json", **{**fields, key: value})
+    before = sorted(os.listdir(tmp_path))
+    assert cli.main([mode, "--config", config]) == 1
+    out, err = capfd.readouterr()
+    assert out == "" and err.startswith("config error: ") and err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 def write_overflowing_config(tmp_path, **fields):
     """Generated instances with a phase window so wide that <H_C> overflows to NaN."""
     instances = tmp_path / "inst.jsonl"

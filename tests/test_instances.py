@@ -198,10 +198,6 @@ class TestBruteForce:
         inst = generate_instance(21, 2, 1.0, seed=0)
         with pytest.raises(ResourceLimitError):
             brute_force_detect(inst)
-        # explicit override allows larger scans
-        small = generate_instance(5, 5, 1.0, seed=0)
-        with pytest.raises(ResourceLimitError):
-            brute_force_detect(small, max_antennas=4)
 
 
 class TestInstanceFiles:

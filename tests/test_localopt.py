@@ -285,7 +285,7 @@ class TestMatchesScipy:
         # lie below sqrt(REALMIN), where planerot avoids squaring them
         assert_matches_scipy(lambda x: scale * smooth(4)(x), np.zeros(4), budget=200)
 
-    @pytest.mark.parametrize("budget", [2, 4, 40])
+    @pytest.mark.parametrize("budget", [1, 2, 3, 4, 40])
     def test_repeated_point_reuses_the_last_value(self, budget):
         # the box is under an ulp wide at x0[0], so x0 + rhobeg * e_0 == x0 and
         # COBYLA asks for the start again; scipy answers from its cache
@@ -293,7 +293,8 @@ class TestMatchesScipy:
         radius = initial_radius(box)
         assert 1.0 + radius == 1.0
         trace = assert_matches_scipy(quadratic, [1.0, 0.5], box, budget, radius)
-        assert np.array_equal(trace.evaluations[1][0], [1.0, 0.5 + radius])
+        if budget > 1:
+            assert np.array_equal(trace.evaluations[1][0], [1.0, 0.5 + radius])
 
     def test_cases_reduce_rho_and_take_geometry_steps(self, monkeypatch):
         counts = Counter()
