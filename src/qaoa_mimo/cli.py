@@ -40,7 +40,6 @@ from .jsonio import SCHEMA_VERSION, dump_line, dumps, format_float, strict_float
 from .rng import STREAM_ANTENNA_CHOICE, STREAM_INSTANCE_SEEDS, STREAM_RANDOM_INIT, substream
 from .simulator import (
     DEFAULT_QUBIT_CAP,
-    QaoaParams,
     hamiltonian_diagonal,
     qaoa_state,
     success_probability,
@@ -97,17 +96,11 @@ def _load_config(path):
     return config
 
 
-# a kind missing here is a KeyError: a bug in the caller, not a config error
-_CONVERTERS = {int: strict_int, float: strict_float}
-
-
-def _require(config, key, kind, minimum=None):
+def _require(config, key, convert, minimum=None):
     if key not in config:
         raise ConfigError(f"config is missing required key {key!r}")
-    value = config[key]
-    convert = _CONVERTERS[kind]
     try:
-        value = convert(value)
+        value = convert(config[key])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config key {key!r} has invalid value {config[key]!r}") from exc
     if minimum is not None and value < minimum:
@@ -115,18 +108,18 @@ def _require(config, key, kind, minimum=None):
     return value
 
 
-def _optional(config, key, kind, default, minimum=None):
+def _optional(config, key, convert, default, minimum=None):
     if key not in config or config[key] is None:
         return default
-    return _require(config, key, kind, minimum)
+    return _require(config, key, convert, minimum)
 
 
 def _resolve_seed(config, seed_override):
     if seed_override is not None:
-        return _require({"--seed": seed_override}, "--seed", int, minimum=0)
+        return _require({"--seed": seed_override}, "--seed", strict_int, minimum=0)
     if "seed" not in config or config["seed"] is None:
         raise ConfigError("a seed is required (config key 'seed' or --seed)")
-    return _require(config, "seed", int, minimum=0)
+    return _require(config, "seed", strict_int, minimum=0)
 
 
 def _resolve_out(config, out_override):
@@ -146,18 +139,18 @@ def _resolve_path(config, key):
 
 
 def cmd_gen_instances(config, seed, out):
-    count = _require(config, "count", int, minimum=1)
-    noise_scale = _optional(config, "noise_scale", float, 1.0, minimum=0.0)
+    count = _require(config, "count", strict_int, minimum=1)
+    noise_scale = _optional(config, "noise_scale", strict_float, 1.0, minimum=0.0)
     n_t = config.get("n_t")
     if n_t is None:
         raise ConfigError("config is missing required key 'n_t'")
     choices = [
-        _require({"n_t": v}, "n_t", int, minimum=1)
+        _require({"n_t": v}, "n_t", strict_int, minimum=1)
         for v in (n_t if isinstance(n_t, list) else [n_t])
     ]
     if not choices:
         raise ConfigError("n_t must be an int >= 1 or a non-empty list of them")
-    n_r = _optional(config, "n_r", int, None, minimum=1)
+    n_r = _optional(config, "n_r", strict_int, None, minimum=1)
     # worst case over the n_t choices: h, x_true, noise and y of one instance
     per_instance = max(nt * nr + nt + 2 * nr for nt in choices for nr in [n_r or nt])
     if count * per_instance > MAX_GENERATED_VALUES:
@@ -178,18 +171,18 @@ def cmd_gen_instances(config, seed, out):
 
 
 def _resolve_bounds(config, p):
-    gamma_max = _optional(config, "gamma_max", float, DEFAULT_GAMMA_MAX, minimum=0.0)
-    beta_max = _optional(config, "beta_max", float, DEFAULT_BETA_MAX, minimum=0.0)
+    gamma_max = _optional(config, "gamma_max", strict_float, DEFAULT_GAMMA_MAX, minimum=0.0)
+    beta_max = _optional(config, "beta_max", strict_float, DEFAULT_BETA_MAX, minimum=0.0)
     return angle_bounds(p, gamma_max=gamma_max, beta_max=beta_max)
 
 
 def cmd_train_init(config, seed, out):
     instances = read_instances(_resolve_path(config, "instances"))
-    p = _require(config, "p", int, minimum=1)
-    t_rounds = _require(config, "t_rounds", int, minimum=1)
-    kappa = _optional(config, "kappa", float, 2.0, minimum=0.0)
-    n_init = _optional(config, "n_init", int, DEFAULT_TRAIN_N_INIT, minimum=1)
-    max_qubits = _optional(config, "max_qubits", int, DEFAULT_QUBIT_CAP, minimum=1)
+    p = _require(config, "p", strict_int, minimum=1)
+    t_rounds = _require(config, "t_rounds", strict_int, minimum=1)
+    kappa = _optional(config, "kappa", strict_float, 2.0, minimum=0.0)
+    n_init = _optional(config, "n_init", strict_int, DEFAULT_TRAIN_N_INIT, minimum=1)
+    max_qubits = _optional(config, "max_qubits", strict_int, DEFAULT_QUBIT_CAP, minimum=1)
 
     init = train_init(
         instances, p=p, t_rounds=t_rounds, kappa=kappa, seed=seed, n_init=n_init,
@@ -224,14 +217,11 @@ def _top_indices(probs, k):
 
 def _run_detection(inst, model, oracle, theta0, method, settings):
     """Refine angles on one instance and assemble its report record."""
-
-    def objective(theta):
-        return simulator_expectation(model, QaoaParams.from_vector(theta), settings.max_qubits)
-
     trace = localopt.minimize(
-        objective, theta0, bounds=settings.bounds, budget=settings.budget, tol=settings.tol
+        lambda theta: simulator_expectation(model, theta, settings.max_qubits), theta0,
+        bounds=settings.bounds, budget=settings.budget, tol=settings.tol,
     )
-    amps = qaoa_state(model, QaoaParams.from_vector(trace.best_point), settings.max_qubits)
+    amps = qaoa_state(model, trace.best_point, settings.max_qubits)
     probs = amps.real**2 + amps.imag**2
 
     order = _top_indices(probs, settings.top_k)
@@ -320,25 +310,25 @@ def _detection_runs(config, seed, methods):
     """Check a detection config, then return its instances and an iterator
     of one (report, trace) per instance and method, in file order."""
     instances = read_instances(_resolve_path(config, "instances"))
-    p = _require(config, "p", int, minimum=1)
-    budget = _optional(config, "budget", int, 150, minimum=1)
-    tol = _optional(config, "tol", float, 1e-6)
-    top_k = _optional(config, "top_k", int, 8, minimum=1)
+    p = _require(config, "p", strict_int, minimum=1)
+    budget = _optional(config, "budget", strict_int, 150, minimum=1)
+    tol = _optional(config, "tol", strict_float, 1e-6)
+    top_k = _optional(config, "top_k", strict_int, 8, minimum=1)
     bounds = _resolve_bounds(config, p)
     try:
         localopt.check_tol(tol, bounds)
     except ValueError as exc:
         raise ConfigError(f"config key {exc}") from exc
-    max_qubits = _optional(config, "max_qubits", int, DEFAULT_QUBIT_CAP, minimum=1)
+    max_qubits = _optional(config, "max_qubits", strict_int, DEFAULT_QUBIT_CAP, minimum=1)
     # random starts: one uniform draw over the angle box per instance, in file order
     gen = substream(seed, STREAM_RANDOM_INIT)
     low, span = bounds[:, 0], bounds[:, 1] - bounds[:, 0]
     starts = {RANDOM_INIT: [low + gen.random(bounds.shape[0]) * span for _ in instances]}
     if TRAINED_INIT in methods:
         init = read_init_params(_resolve_path(config, "init"))
-        if init.p != p:
-            raise ConfigError(f"init file has p={init.p} but config requests p={p}")
-        starts[TRAINED_INIT] = [init.to_vector()] * len(instances)
+        if init.angles.size // 2 != p:
+            raise ConfigError(f"init file has p={init.angles.size // 2} but config requests p={p}")
+        starts[TRAINED_INIT] = [init.angles] * len(instances)
 
     settings = DetectionSettings(methods, bounds, budget, tol, top_k, max_qubits)
     per_instance = list(zip(*(starts[method] for method in methods)))
@@ -434,7 +424,7 @@ def closed_form_vs_simulator(gen, size):
     for _ in range(size):
         model = build_ising(_random_instance(gen, 7))
         gamma, beta = float(gen.uniform(0.0, np.pi / 2)), float(gen.uniform(0.0, np.pi))
-        sim = simulator_expectation(model, QaoaParams(p=1, gammas=[gamma], betas=[beta]))
+        sim = simulator_expectation(model, [gamma, beta])
         worst = max(worst, abs(sim - depth1_expectation(model, gamma, beta)))
     return worst <= EXACT_TOL, f"max |diff| = {worst:.3e}"
 
@@ -463,10 +453,10 @@ def unitarity(gen, size):
     worst_norm = worst_beta0 = 0.0
     for p in range(1, size + 1):
         model = build_ising(generate_instance(6, 6, 1.0, seed=int(gen.integers(0, 2**63))))
-        params = QaoaParams(p, gen.uniform(0, np.pi / 2, p), gen.uniform(0, np.pi, p))
-        amps = qaoa_state(model, params)
+        angles = np.concatenate([gen.uniform(0, np.pi / 2, p), gen.uniform(0, np.pi, p)])
+        amps = qaoa_state(model, angles)
         worst_norm = max(worst_norm, abs(float(np.sum(np.abs(amps) ** 2)) - 1.0))
-        beta0 = QaoaParams(p, gen.uniform(0, np.pi / 2, p), np.zeros(p))
+        beta0 = np.concatenate([gen.uniform(0, np.pi / 2, p), np.zeros(p)])
         worst_beta0 = max(worst_beta0, abs(simulator_expectation(model, beta0)))
     ok = worst_norm <= UNITARITY_TOL and worst_beta0 <= UNITARITY_TOL
     return ok, f"norm dev {worst_norm:.3e}, beta0 exp {worst_beta0:.3e}"
@@ -553,7 +543,7 @@ def main(argv=None):
             if args.seed is not None:
                 seed = _resolve_seed(config, args.seed)
             else:
-                seed = _optional(config, "seed", int, 0, minimum=0)
+                seed = _optional(config, "seed", strict_int, 0, minimum=0)
             return cmd_selftest(seed)
         seed = _resolve_seed(config, args.seed)
         out = _resolve_out(config, args.out)

@@ -8,6 +8,7 @@ back obey the config's value rules (strict_int, strict_float).
 
 import json
 import math
+import numbers
 
 import numpy as np
 
@@ -31,8 +32,10 @@ def format_float(value):
 
 
 def strict_int(value):
-    """int(value), refusing bools, floats with a fractional part and values beyond int64."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """int(value) of an integral number in the int64 range; refuses bools and non-numbers."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or (
+        not isinstance(value, numbers.Integral) and not float(value).is_integer()
+    ):
         raise ValueError(f"{value!r} is not an integer")
     value = int(value)
     if not -(1 << 63) <= value < 1 << 63:
@@ -41,8 +44,8 @@ def strict_int(value):
 
 
 def strict_float(value):
-    """float(value), refusing bools and non-finite values."""
-    if isinstance(value, bool):
+    """float(value) of a finite number; refuses bools and non-numbers such as strings."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{value!r} is not a number")
     value = float(value)
     if not math.isfinite(value):

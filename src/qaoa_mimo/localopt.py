@@ -127,8 +127,9 @@ def check_count(name, value):
 
 def initial_radius(bounds=None):
     """COBYLA's initial trust radius for a (d, 2) box: 0.5, shrunk to half the
-    narrowest positive span so the first probes stay near the box.  A ``tol``
-    above it is not a valid final radius."""
+    narrowest span so the first probes stay near the box, unless an axis is
+    pinned (low == high): then it stays 0.5.  A ``tol`` above it is not a
+    valid final radius."""
     span = np.inf if bounds is None else float(np.min(bounds[:, 1] - bounds[:, 0]))
     return min(0.5, 0.5 * span) if span > 0 else 0.5
 

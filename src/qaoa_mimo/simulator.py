@@ -1,7 +1,9 @@
 """Exact dense statevector simulation of the QAOA circuit.
 
-The problem Hamiltonian is diagonal in the computational basis, so one
-layer is an elementwise phase exp(-i gamma * diag) followed by the mixer
+A circuit's angles are one flat vector, the one the optimizers search:
+the p phase angles gamma, then the p mixer angles beta.  The problem
+Hamiltonian is diagonal in the computational basis, so one layer is an
+elementwise phase exp(-i gamma * diag) followed by the mixer
 exp(-i beta * sum_j X_j) = Rx(2 beta)^{(x) n}.
 
 The diagonal is built by doubling over qubits.  With the qubits above k
@@ -30,7 +32,6 @@ is simulated and kept with the model for every later call.
 """
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,30 +67,13 @@ _FLIPS = np.array([bin(m).count("1") for m in range(1 << MIXER_BLOCK)])[
 _FLIP_PHASE = np.array([1, -1j, -1, 1j])[np.arange(MIXER_BLOCK + 1) % 4]
 
 
-@dataclass(frozen=True)
-class QaoaParams:
-    """Circuit depth p and the 2p variational angles."""
-
-    p: int
-    gammas: np.ndarray
-    betas: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "gammas", np.asarray(self.gammas, dtype=np.float64))
-        object.__setattr__(self, "betas", np.asarray(self.betas, dtype=np.float64))
-        if self.p < 1:
-            raise ValueError(f"p must be >= 1, got {self.p}")
-        if self.gammas.shape != (self.p,) or self.betas.shape != (self.p,):
-            raise ValueError("gammas and betas must both have length p")
-
-    @classmethod
-    def from_vector(cls, theta):
-        """Split a flat angle vector (gammas first, then betas) at p = len/2."""
-        theta = np.asarray(theta, dtype=np.float64)
-        if theta.ndim != 1 or theta.size % 2 != 0:
-            raise ValueError("angle vector must be 1-D with even length")
-        p = theta.size // 2
-        return cls(p=p, gammas=theta[:p], betas=theta[p:])
+def _angle_vector(angles):
+    """The angles (p phase angles, then p mixer angles) as a float64 array;
+    ValueError unless they are 1-D with a positive even length."""
+    angles = np.asarray(angles, dtype=np.float64)
+    if angles.ndim != 1 or angles.size == 0 or angles.size % 2:
+        raise ValueError(f"angles have shape {angles.shape}: need 1-D with a positive even length")
+    return angles
 
 
 def _check_cap(n, max_qubits):
@@ -188,12 +172,15 @@ def _phase(model, diag, gamma, out, scale=None):
 # A phase that overflows comes out NaN, which every optimizer refuses as a failed
 # evaluation; numpy's warning about it would only add noise to stderr.
 @np.errstate(over="ignore", invalid="ignore")
-def _evolve(model, diag, params):
+def _evolve(model, diag, angles):
     dim = 1 << model.n
+    p = angles.size // 2
     amps = np.empty(dim, dtype=np.complex128)
     spare = np.empty_like(amps)  # every layer reuses these two buffers
     widths = _block_widths(model.n)
-    for layer, (gamma, beta) in enumerate(zip(params.gammas, params.betas)):
+    # gamma and beta are np.float64 scalars, the type -1j * gamma and the mixer
+    # cache key were pinned with
+    for layer, (gamma, beta) in enumerate(zip(angles[:p], angles[p:])):
         if layer == 0:  # the initial state |+>^n is 1/sqrt(dim) everywhere
             _phase(model, diag, gamma, amps, scale=1.0 / np.sqrt(dim))
         else:
@@ -214,16 +201,18 @@ def _evolve(model, diag, params):
     return amps
 
 
-def qaoa_state(model, params, max_qubits=DEFAULT_QUBIT_CAP):
-    """Amplitudes after p alternating phase/mixer layers on |+>^n: a complex
-    array of length 2^n (bit k of the index = qubit k)."""
-    return _evolve(model, _model_diagonal(model, max_qubits), params)
+def qaoa_state(model, angles, max_qubits=DEFAULT_QUBIT_CAP):
+    """Amplitudes after the p phase/mixer layers of ``angles`` on |+>^n: a
+    complex array of length 2^n (bit k of the index = qubit k)."""
+    angles = _angle_vector(angles)
+    return _evolve(model, _model_diagonal(model, max_qubits), angles)
 
 
-def expectation(model, params, max_qubits=DEFAULT_QUBIT_CAP):
+def expectation(model, angles, max_qubits=DEFAULT_QUBIT_CAP):
     """Exact <H_C> in the variational state (no shot noise)."""
+    angles = _angle_vector(angles)
     diag = _model_diagonal(model, max_qubits)
-    amps = _evolve(model, diag, params)
+    amps = _evolve(model, diag, angles)
     probs = amps.real**2 + amps.imag**2
     # not probs @ diag: OpenBLAS splits a long dot product across threads,
     # which makes its roundoff depend on the thread count

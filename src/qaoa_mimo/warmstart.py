@@ -2,8 +2,10 @@
 
 A batch of small, exactly-simulable instances defines the ensemble
 objective F(angles) = mean over instances of <H_C>.  Bayesian
-minimization of F over the angle box yields one angle vector that
-transfers as the starting point for larger detection runs.
+minimization of F over the angle box yields one angle vector (p phase
+angles, then p mixer angles) that transfers as the starting point for
+larger detection runs.  Only the init record splits it into its
+``gammas`` and ``betas``.
 """
 
 import json
@@ -14,7 +16,7 @@ import numpy as np
 from .bayesopt import SquaredExponentialKernel, bayes_opt
 from .ising import build_ising
 from .jsonio import SCHEMA_VERSION, dumps, float_array, read_fields, strict_int
-from .simulator import DEFAULT_QUBIT_CAP, QaoaParams, expectation
+from .simulator import DEFAULT_QUBIT_CAP, expectation
 
 DEFAULT_GAMMA_MAX = np.pi / 8
 DEFAULT_BETA_MAX = np.pi
@@ -42,24 +44,19 @@ def angle_bounds(p, gamma_max=DEFAULT_GAMMA_MAX, beta_max=DEFAULT_BETA_MAX):
 
 @dataclass(frozen=True)
 class InitParams:
-    """Trained initial angles plus a record of how they were obtained."""
+    """The trained angle vector plus a record of how it was obtained."""
 
-    p: int
-    gammas: np.ndarray
-    betas: np.ndarray
+    angles: np.ndarray
     training_meta: dict
 
-    def to_vector(self):
-        return np.concatenate([self.gammas, self.betas])
 
-
-def meta_objective(models, params, max_qubits=DEFAULT_QUBIT_CAP):
-    """Mean of <H_C> over the model batch (fixed summation order)."""
+def meta_objective(models, angles, max_qubits=DEFAULT_QUBIT_CAP):
+    """Mean of <H_C> at ``angles`` over the model batch (fixed summation order)."""
     if not models:
         raise ValueError("at least one model is required")
     total = 0.0
     for model in models:
-        total += expectation(model, params, max_qubits)
+        total += expectation(model, angles, max_qubits)
     return total / len(models)
 
 
@@ -87,14 +84,11 @@ def train_init(
     if bounds is None:
         bounds = angle_bounds(p)
 
-    def objective(theta):
-        return meta_objective(models, QaoaParams.from_vector(theta), max_qubits)
-
     history = bayes_opt(
-        objective, bounds, t_rounds, kappa=kappa, n_init=n_init, seed=seed,
+        lambda theta: meta_objective(models, theta, max_qubits), bounds, t_rounds,
+        kappa=kappa, n_init=n_init, seed=seed,
         kernel=SquaredExponentialKernel(length_scale=TRAIN_LENGTH_SCALE),
     )
-    theta = history.best_point
     meta = {
         "n_instances": len(models),
         "t_rounds": int(t_rounds),
@@ -103,17 +97,16 @@ def train_init(
         "n_init": int(n_init),
         "final_objective": history.best_value,
     }
-    return InitParams(
-        p=p, gammas=theta[:p].copy(), betas=theta[p:].copy(), training_meta=meta
-    )
+    return InitParams(angles=history.best_point, training_meta=meta)
 
 
 def init_params_to_record(init):
+    p = init.angles.size // 2
     return {
         "schema_version": SCHEMA_VERSION,
-        "p": init.p,
-        "gammas": [float(g) for g in init.gammas],
-        "betas": [float(b) for b in init.betas],
+        "p": p,
+        "gammas": [float(g) for g in init.angles[:p]],
+        "betas": [float(b) for b in init.angles[p:]],
         "training_meta": init.training_meta,
     }
 
@@ -124,7 +117,7 @@ def init_params_from_record(record):
     )
     if fields["gammas"].shape != (fields["p"],) or fields["betas"].shape != (fields["p"],):
         raise ValueError("angle vectors do not match the recorded depth")
-    return InitParams(**fields)
+    return InitParams(np.concatenate([fields["gammas"], fields["betas"]]), fields["training_meta"])
 
 
 def write_init_params(path, init):

@@ -107,8 +107,12 @@ class TestGenInstances:
             {"count": 2, "n_t": True},
             {"count": 2, "n_t": "abc"},
             {"count": 1e30, "n_t": 2},
+            {"count": "2", "n_t": 3},
+            {"count": 2, "n_t": " 3 "},
+            {"count": 2, "n_t": [2, "3"]},
         ],
-        ids=["fractional-count", "fractional-n_t", "bool-n_t", "string-n_t", "huge-count"],
+        ids=["fractional-count", "fractional-n_t", "bool-n_t", "string-n_t", "huge-count",
+             "numeric-string-count", "padded-string-n_t", "string-n_t-choice"],
     )
     def test_non_integer_value_is_config_error(self, tmp_path, fields):
         out = tmp_path / "x.jsonl"
@@ -160,7 +164,9 @@ class TestTopIndices:
             assert np.array_equal(cli._top_indices(probs, k), expected)
 
 
-@pytest.mark.parametrize("value", [True, float("nan"), float("inf")], ids=["bool", "nan", "inf"])
+@pytest.mark.parametrize(
+    "value", [True, float("nan"), float("inf"), "1e-3"], ids=["bool", "nan", "inf", "string"]
+)
 @pytest.mark.parametrize(
     "mode, key",
     [
@@ -301,12 +307,19 @@ def retyped(key, value):
         ("instance", *retyped("noise_scale", float("nan"))),
         ("init", *retyped("gammas", [float("nan")])),
         ("instance", *retyped("h", [1.0, 0.0, 0.0])),
+        ("instance", *retyped("n_t", "2")),
+        ("instance", *retyped("h", ["0.5", 0.0, 0.0, 1.0])),
+        ("instance", *retyped("noise_scale", "0")),
+        ("init", *retyped("p", "1")),
+        ("init", *retyped("gammas", ["0.1"])),
     ],
     ids=["instance-missing-key", "instance-not-object", "init-missing-key", "init-not-object",
          "instance-null-n_t", "instance-null-x_true", "instance-list-noise_scale",
          "init-int-training_meta", "instance-fractional-n_t", "instance-bool-seed",
          "instance-fractional-x_true", "init-fractional-p", "instance-nan-h", "instance-inf-y",
-         "instance-nan-noise_scale", "init-nan-gammas", "instance-short-h"],
+         "instance-nan-noise_scale", "init-nan-gammas", "instance-short-h",
+         "instance-string-n_t", "instance-string-h", "instance-string-noise_scale",
+         "init-string-p", "init-string-gammas"],
 )
 def test_malformed_record_is_runtime_error(tmp_path, capsys, target, key, mangle):
     instances, init_path = tmp_path / "inst.jsonl", tmp_path / "init.json"
@@ -325,10 +338,20 @@ def test_malformed_record_is_runtime_error(tmp_path, capsys, target, key, mangle
     assert not out.exists()
 
 
-def test_unsupported_kind_is_not_a_config_error():
-    # a kind with no converter is a bug in the caller; it must not pass as a value check
-    with pytest.raises(KeyError):
-        cli._require({"name": "abc"}, "name", str)
+@pytest.mark.parametrize(
+    "mode, key", [("train-init", "t_rounds"), ("train-init", "n_init"), ("detect", "p"),
+                  ("detect", "budget"), ("detect", "top_k"), ("detect", "max_qubits")],
+)
+def test_numeric_string_integer_key_is_config_error(tmp_path, capsys, mode, key):
+    instances = tmp_path / "inst.jsonl"
+    write_instances(instances, [make_identity_instance([1, -1], seed=5)])
+    fields = {"p": 1, "t_rounds": 1, key: "1"}
+    config = write_config(tmp_path, "c.json", instances=str(instances), seed=1, **fields)
+    out = tmp_path / "out"
+    assert cli.main([mode, "--config", config, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: config key {key!r} has invalid value '1'\n"
+    assert not out.exists()
 
 
 class TestTrainInit:

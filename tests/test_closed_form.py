@@ -6,12 +6,12 @@ import pytest
 from qaoa_mimo.closed_form import depth1_expectation, depth1_moments
 from qaoa_mimo.instances import ChannelInstance, generate_instance
 from qaoa_mimo.ising import build_ising
-from qaoa_mimo.simulator import QaoaParams, expectation, qaoa_state
+from qaoa_mimo.simulator import expectation, qaoa_state
 
 
 def simulator_moments(model, gamma, beta):
     """Statevector oracle for <Z_i> and <Z_i Z_j> at depth 1."""
-    probs = np.abs(qaoa_state(model, QaoaParams(p=1, gammas=[gamma], betas=[beta]))) ** 2
+    probs = np.abs(qaoa_state(model, [gamma, beta])) ** 2
     n = model.n
     idx = np.arange(1 << n)
     spins = 1.0 - 2.0 * ((idx[:, None] >> np.arange(n)[None, :]) & 1)
@@ -67,7 +67,7 @@ class TestAgainstStatevector:
 
     def test_full_expectation(self):
         for model, gamma, beta in random_cases(40, seed=30):
-            sim = expectation(model, QaoaParams(p=1, gammas=[gamma], betas=[beta]))
+            sim = expectation(model, [gamma, beta])
             assert depth1_expectation(model, gamma, beta) == pytest.approx(sim, abs=1e-9)
 
 
@@ -131,5 +131,5 @@ class TestDecoupledSubcase:
             assert depth1_expectation(model, gamma, beta) == pytest.approx(
                 predicted, abs=1e-12
             )
-            sim = expectation(model, QaoaParams(p=1, gammas=[gamma], betas=[beta]))
+            sim = expectation(model, [gamma, beta])
             assert sim == pytest.approx(predicted, abs=1e-9)

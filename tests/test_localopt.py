@@ -12,7 +12,7 @@ from qaoa_mimo.errors import ObjectiveEvaluationError
 from qaoa_mimo.instances import generate_instance
 from qaoa_mimo.ising import build_ising
 from qaoa_mimo.localopt import PENALTY_WEIGHT, initial_radius, minimize
-from qaoa_mimo.simulator import QaoaParams, expectation
+from qaoa_mimo.simulator import expectation
 from qaoa_mimo.warmstart import angle_bounds
 
 
@@ -80,7 +80,7 @@ def smooth(d):
 
 def qaoa_objective(p):
     model = build_ising(generate_instance(3, 3, 1.0, seed=p))
-    return lambda theta: expectation(model, QaoaParams.from_vector(theta))
+    return lambda theta: expectation(model, theta)
 
 
 class TestMinimize:
@@ -295,6 +295,16 @@ class TestMatchesScipy:
         trace = assert_matches_scipy(quadratic, [1.0, 0.5], box, budget, radius)
         if budget > 1:
             assert np.array_equal(trace.evaluations[1][0], [1.0, 0.5 + radius])
+
+    def test_repeat_is_answered_before_the_budget_is_checked(self):
+        # every axis is under an ulp wide, so every point COBYLA asks for after
+        # the start repeats it; answered from the last value, the repeats alone
+        # shrink the radius to tol, where a budget check made first would stop
+        box = np.array([[1.0, 1.0 + 2e-16], [0.5, 0.5 + 1e-16]])
+        radius = initial_radius(box)
+        trace = assert_matches_scipy(quadratic, [1.0, 0.5], box, 1, radius)
+        assert len(trace.evaluations) == 1
+        assert (trace.converged, trace.reason) == (True, "tolerance")
 
     def test_cases_reduce_rho_and_take_geometry_steps(self, monkeypatch):
         counts = Counter()

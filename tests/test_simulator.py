@@ -19,7 +19,6 @@ from qaoa_mimo.simulator import (
     MIXER_BLOCK,
     MIXER_CACHE,
     PHASE_BLOCK,
-    QaoaParams,
     expectation,
     _built_mixer_block,
     _mixer_block,
@@ -41,10 +40,8 @@ def field_only_model(fields):
     )
 
 
-def random_params(gen, p):
-    return QaoaParams(
-        p=p, gammas=gen.uniform(0, np.pi / 2, p), betas=gen.uniform(0, np.pi, p)
-    )
+def random_angles(gen, p):
+    return np.concatenate([gen.uniform(0, np.pi / 2, p), gen.uniform(0, np.pi, p)])
 
 
 def reference_diagonal(model):
@@ -61,11 +58,12 @@ def reference_diagonal(model):
     return diag
 
 
-def reference_evolve(diag, n, params):
+def reference_evolve(diag, n, angles):
     """The circuit with the mixer as n single-qubit Rx(2 beta) sweeps."""
     dim = 1 << n
     amps = np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128)
-    for gamma, beta in zip(params.gammas, params.betas):
+    p = len(angles) // 2
+    for gamma, beta in zip(angles[:p], angles[p:]):
         amps *= np.exp(-1j * gamma * diag)
         c = np.cos(beta)
         s = -1j * np.sin(beta)
@@ -78,20 +76,24 @@ def reference_evolve(diag, n, params):
     return amps
 
 
-class TestQaoaParams:
-    def test_vector_round_trip(self):
-        params = QaoaParams(p=2, gammas=[0.1, 0.2], betas=[0.3, 0.4])
-        back = QaoaParams.from_vector(np.concatenate([params.gammas, params.betas]))
-        assert np.array_equal(back.gammas, params.gammas)
-        assert np.array_equal(back.betas, params.betas)
+class TestAngleVector:
+    @pytest.mark.parametrize("angles", [[0.1, 0.2, 0.3], [], np.zeros((2, 2))],
+                             ids=["odd", "empty", "2-D"])
+    @pytest.mark.parametrize("simulate", [expectation, qaoa_state])
+    def test_refused_before_any_diagonal_or_cap_check(self, simulate, angles, diagonal_builds):
+        model = build_ising(generate_instance(5, 5, 1.0, seed=5))
+        with pytest.raises(ValueError, match="positive even length"):
+            simulate(model, angles)
+        with pytest.raises(ValueError, match="positive even length"):
+            simulate(model, angles, max_qubits=4)  # not ResourceLimitError
+        assert diagonal_builds == [] and model.diagonal is None
 
-    def test_length_validation(self):
-        with pytest.raises(ValueError):
-            QaoaParams(p=2, gammas=[0.1], betas=[0.3, 0.4])
-        with pytest.raises(ValueError):
-            QaoaParams(p=0, gammas=[], betas=[])
-        with pytest.raises(ValueError):
-            QaoaParams.from_vector([0.1, 0.2, 0.3])
+    def test_list_gives_the_bits_of_an_array(self):
+        model = build_ising(generate_instance(4, 4, 1.0, seed=4))
+        angles = [0.1, 0.2, 0.9, 0.5]
+        value, from_array = expectation(model, angles), expectation(model, np.array(angles))
+        assert np.float64(value).tobytes() == np.float64(from_array).tobytes()
+        assert np.array_equal(qaoa_state(model, angles), qaoa_state(model, np.array(angles)))
 
 
 class TestDiagonal:
@@ -134,13 +136,13 @@ class TestDiagonalReuse:
         model = build_ising(generate_instance(4, 4, 1.0, seed=3))
         gen = np.random.default_rng(0)
         for _ in range(5):
-            expectation(model, random_params(gen, 2))
-        qaoa_state(model, random_params(gen, 2))
+            expectation(model, random_angles(gen, 2))
+        qaoa_state(model, random_angles(gen, 2))
         assert diagonal_builds == [model]
 
     def test_stored_diagonal_is_read_only(self):
         model = build_ising(generate_instance(3, 3, 1.0, seed=4))
-        expectation(model, QaoaParams(p=1, gammas=[0.2], betas=[0.3]))
+        expectation(model, [0.2, 0.3])
         assert not model.diagonal.flags.writeable
         with pytest.raises(ValueError):
             model.diagonal[0] = 0.0
@@ -148,13 +150,13 @@ class TestDiagonalReuse:
 
     def test_cap_checked_on_every_call(self):
         model = build_ising(generate_instance(5, 5, 1.0, seed=5))
-        params = QaoaParams(p=1, gammas=[0.2], betas=[0.3])
-        expectation(model, params)
+        angles = [0.2, 0.3]
+        expectation(model, angles)
         assert model.diagonal is not None
         with pytest.raises(ResourceLimitError):
-            expectation(model, params, max_qubits=4)
+            expectation(model, angles, max_qubits=4)
         with pytest.raises(ResourceLimitError):
-            qaoa_state(model, params, max_qubits=4)
+            qaoa_state(model, angles, max_qubits=4)
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_reused_diagonal_gives_same_bits(self, n):
@@ -163,14 +165,14 @@ class TestDiagonalReuse:
         reused = build_ising(inst)
         for p in (1, 2, 3):
             for _ in range(2):
-                params = random_params(gen, p)
-                assert expectation(reused, params) == expectation(build_ising(inst), params)
+                angles = random_angles(gen, p)
+                assert expectation(reused, angles) == expectation(build_ising(inst), angles)
 
     def test_equality_and_repr_ignore_diagonal(self):
         model = build_ising(generate_instance(3, 3, 1.0, seed=6))
         fresh = dataclasses.replace(model)
         text = repr(model)
-        expectation(model, QaoaParams(p=1, gammas=[0.2], betas=[0.3]))
+        expectation(model, [0.2, 0.3])
         assert fresh.diagonal is None and model.diagonal is not None
         assert model == fresh
         assert repr(model) == text == repr(fresh)
@@ -189,12 +191,12 @@ class TestBlockedMixer:
         model = build_ising(generate_instance(n, n, 1.0, seed=n))
         diag = hamiltonian_diagonal(model)
         for p in (1, 2, 3):
-            params = random_params(gen, p)
-            ref = reference_evolve(diag, n, params)
-            got = qaoa_state(model, params)
+            angles = random_angles(gen, p)
+            ref = reference_evolve(diag, n, angles)
+            got = qaoa_state(model, angles)
             assert np.max(np.abs(got - ref)) <= self.AMPLITUDE_ATOL
             ref_value = float((ref.real**2 + ref.imag**2) @ diag)
-            assert abs(expectation(model, params) - ref_value) <= (
+            assert abs(expectation(model, angles) - ref_value) <= (
                 self.EXPECTATION_RTOL * max(1.0, abs(ref_value))
             )
 
@@ -204,9 +206,9 @@ class TestBlockedMixer:
             f"import sys; sys.path.insert(0, {src!r})\n"
             "from qaoa_mimo.instances import generate_instance\n"
             "from qaoa_mimo.ising import build_ising\n"
-            "from qaoa_mimo.simulator import QaoaParams, expectation\n"
+            "from qaoa_mimo.simulator import expectation\n"
             "model = build_ising(generate_instance(16, 16, 1.0, seed=16))\n"
-            "print(repr(expectation(model, QaoaParams(3, [0.1, 0.2, 0.3], [0.9, 0.5, 0.2]))))\n"
+            "print(repr(expectation(model, [0.1, 0.2, 0.3, 0.9, 0.5, 0.2])))\n"
         )
         outputs = {
             subprocess.run(
@@ -261,11 +263,11 @@ class TestMixerCache:
     @pytest.mark.parametrize("n", [2, 3, 6, 7])
     def test_expectation_bits_with_cold_and_warm_cache(self, n):
         model = build_ising(generate_instance(n, n, 1.0, seed=n))
-        params = QaoaParams(p=3, gammas=[0.1, 0.2, 0.3], betas=[0.9, -0.0, 0.9])
+        angles = [0.1, 0.2, 0.3, 0.9, -0.0, 0.9]
         _built_mixer_block.cache_clear()
-        cold = expectation(model, params)
+        cold = expectation(model, angles)
         assert _built_mixer_block.cache_info().hits > 0  # the third layer reuses the first's
-        warm = expectation(model, params)
+        warm = expectation(model, angles)
         assert np.float64(cold).tobytes() == np.float64(warm).tobytes()
 
     def test_size_is_bounded(self):
@@ -280,17 +282,17 @@ class TestSerialMixer:
     def test_every_product_stays_on_one_thread(self, n, matmul_products):
         products = matmul_products(simulator)
         model = build_ising(generate_instance(n, n, 1.0, seed=n))
-        expectation(model, QaoaParams(p=2, gammas=[0.1, 0.2], betas=[0.9, 0.5]))
+        expectation(model, [0.1, 0.2, 0.9, 0.5])
         assert len(products) == 2 * -(-n // MIXER_BLOCK)
         assert max(products) <= simulator._SERIAL_MATMUL
 
     @pytest.mark.parametrize("n", [5, 11, 16])
     def test_stacked_products_give_the_bits_of_one_product(self, n, monkeypatch):
         model = build_ising(generate_instance(n, n, 1.0, seed=n))
-        params = QaoaParams(p=3, gammas=[0.1, 0.2, 0.3], betas=[0.9, 0.5, 0.2])
-        stacked = qaoa_state(model, params)
+        angles = [0.1, 0.2, 0.3, 0.9, 0.5, 0.2]
+        stacked = qaoa_state(model, angles)
         monkeypatch.setattr(simulator, "_SERIAL_MATMUL", 1 << 62)
-        assert np.array_equal(stacked, qaoa_state(model, params))
+        assert np.array_equal(stacked, qaoa_state(model, angles))
 
 
 class TestPhase:
@@ -323,11 +325,11 @@ class TestPhase:
     def test_cached_expectation_peaks_below_three_statevectors(self):
         n = 16
         model = build_ising(generate_instance(n, n, 1.0, seed=n))
-        params = QaoaParams(p=3, gammas=[0.1, 0.2, 0.3], betas=[0.9, 0.5, 0.2])
-        expectation(model, params)  # builds and keeps the diagonal
+        angles = [0.1, 0.2, 0.3, 0.9, 0.5, 0.2]
+        expectation(model, angles)  # builds and keeps the diagonal
         tracemalloc.start()
         try:
-            expectation(model, params)
+            expectation(model, angles)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -338,18 +340,18 @@ class TestQaoaState:
     @pytest.mark.parametrize("n", [1, 3, 11])
     def test_returns_amplitude_array(self, n):
         model = build_ising(generate_instance(n, n, 1.0, seed=n))
-        amps = qaoa_state(model, QaoaParams(p=1, gammas=[0.3], betas=[0.4]))
+        amps = qaoa_state(model, [0.3, 0.4])
         assert type(amps) is np.ndarray
         assert amps.shape == (1 << n,) and amps.dtype == np.complex128
 
     def test_identity_circuit(self):
         model = build_ising(generate_instance(3, 3, 1.0, seed=0))
-        amps = qaoa_state(model, QaoaParams(p=1, gammas=[0.0], betas=[0.0]))
+        amps = qaoa_state(model, [0.0, 0.0])
         assert np.allclose(amps, np.full(8, 2 ** -1.5), atol=1e-12)
 
     def test_phase_only_keeps_uniform_probabilities(self):
         model = build_ising(generate_instance(4, 4, 1.0, seed=1))
-        amps = qaoa_state(model, QaoaParams(p=1, gammas=[0.0], betas=[0.7]))
+        amps = qaoa_state(model, [0.0, 0.7])
         probs = np.abs(amps) ** 2
         assert np.allclose(probs, 1.0 / 16.0, atol=1e-12)
 
@@ -357,28 +359,28 @@ class TestQaoaState:
     def test_unit_norm(self, p):
         gen = np.random.default_rng(p)
         model = build_ising(generate_instance(5, 5, 1.0, seed=p))
-        amps = qaoa_state(model, random_params(gen, p))
+        amps = qaoa_state(model, random_angles(gen, p))
         assert abs(np.sum(np.abs(amps) ** 2) - 1.0) <= 1e-12
 
 
 class TestExpectation:
     def test_zero_angles(self):
         model = build_ising(generate_instance(4, 4, 1.0, seed=2))
-        assert abs(expectation(model, QaoaParams(p=1, gammas=[0.0], betas=[0.0]))) <= 1e-12
+        assert abs(expectation(model, [0.0, 0.0])) <= 1e-12
 
     def test_zero_beta_any_gamma(self):
         gen = np.random.default_rng(3)
         for _ in range(5):
             model = build_ising(generate_instance(4, 4, 1.0, seed=int(gen.integers(1000))))
-            params = QaoaParams(p=2, gammas=gen.uniform(0, 2, 2), betas=[0.0, 0.0])
-            assert abs(expectation(model, params)) <= 1e-12
+            angles = np.concatenate([gen.uniform(0, 2, 2), [0.0, 0.0]])
+            assert abs(expectation(model, angles)) <= 1e-12
 
     def test_within_spectral_range(self):
         gen = np.random.default_rng(4)
         for _ in range(10):
             model = build_ising(generate_instance(5, 5, 1.0, seed=int(gen.integers(1000))))
             diag = hamiltonian_diagonal(model)
-            value = expectation(model, random_params(gen, 3))
+            value = expectation(model, random_angles(gen, 3))
             assert diag.min() - 1e-9 <= value <= diag.max() + 1e-9
 
 
@@ -390,7 +392,7 @@ class TestSuccessProbability:
     def test_sums_to_one(self):
         gen = np.random.default_rng(7)
         model = build_ising(generate_instance(4, 4, 1.0, seed=8))
-        amps = qaoa_state(model, random_params(gen, 2))
+        amps = qaoa_state(model, random_angles(gen, 2))
         total = sum(
             success_probability(amps, index_to_spins(m, 4)) for m in range(16)
         )
@@ -399,7 +401,7 @@ class TestSuccessProbability:
     def test_matches_large_shot_frequency(self):
         gen = np.random.default_rng(9)
         model = build_ising(generate_instance(4, 4, 1.0, seed=10))
-        amps = qaoa_state(model, random_params(gen, 2))
+        amps = qaoa_state(model, random_angles(gen, 2))
         x = index_to_spins(5, 4)
         prob = success_probability(amps, x)
         shots = 200_000

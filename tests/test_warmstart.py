@@ -5,7 +5,7 @@ from qaoa_mimo.bayesopt import bayes_opt
 from qaoa_mimo.instances import generate_instance
 from qaoa_mimo.ising import build_ising
 from qaoa_mimo.rng import substream
-from qaoa_mimo.simulator import QaoaParams, expectation
+from qaoa_mimo.simulator import expectation
 from qaoa_mimo.warmstart import (
     angle_bounds,
     init_params_from_record,
@@ -43,44 +43,44 @@ class TestAngleBounds:
 class TestMetaObjective:
     def test_single_model_equals_expectation(self):
         model = build_ising(generate_instance(3, 3, 1.0, seed=1))
-        params = QaoaParams(p=2, gammas=[0.1, 0.2], betas=[0.5, 0.7])
-        assert meta_objective([model], params) == pytest.approx(
-            expectation(model, params), abs=1e-15
+        angles = [0.1, 0.2, 0.5, 0.7]
+        assert meta_objective([model], angles) == pytest.approx(
+            expectation(model, angles), abs=1e-15
         )
 
     def test_copies_equal_single(self):
         model = build_ising(generate_instance(3, 3, 1.0, seed=2))
-        params = QaoaParams(p=1, gammas=[0.15], betas=[0.6])
-        single = expectation(model, params)
-        assert meta_objective([model] * 5, params) == pytest.approx(single, abs=1e-12)
+        angles = [0.15, 0.6]
+        single = expectation(model, angles)
+        assert meta_objective([model] * 5, angles) == pytest.approx(single, abs=1e-12)
 
     def test_mean_of_three_models(self):
         models = [build_ising(generate_instance(2, 2, 1.0, seed=s)) for s in (3, 4, 5)]
-        params = QaoaParams(p=1, gammas=[0.2], betas=[0.9])
-        individual = [expectation(m, params) for m in models]
-        assert meta_objective(models, params) == pytest.approx(
+        angles = [0.2, 0.9]
+        individual = [expectation(m, angles) for m in models]
+        assert meta_objective(models, angles) == pytest.approx(
             (individual[0] + individual[1] + individual[2]) / 3.0, abs=1e-12
         )
 
     def test_permutation_invariant(self):
         models = [build_ising(generate_instance(2, 2, 1.0, seed=s)) for s in (6, 7, 8)]
-        params = QaoaParams(p=1, gammas=[0.1], betas=[0.4])
-        assert meta_objective(models, params) == pytest.approx(
-            meta_objective(models[::-1], params), abs=1e-12
+        angles = [0.1, 0.4]
+        assert meta_objective(models, angles) == pytest.approx(
+            meta_objective(models[::-1], angles), abs=1e-12
         )
 
     def test_requires_models(self):
         with pytest.raises(ValueError):
-            meta_objective([], QaoaParams(p=1, gammas=[0.1], betas=[0.1]))
+            meta_objective([], [0.1, 0.1])
 
 
 class TestTrainInit:
     def test_angle_count_and_bounds(self):
         insts = small_instances(6, seed=10)
         init = train_init(insts, p=3, t_rounds=2, seed=0, n_init=3)
-        assert init.gammas.shape == (3,) and init.betas.shape == (3,)
+        assert init.angles.shape == (6,)
         box = angle_bounds(3)
-        theta = init.to_vector()
+        theta = init.angles
         assert np.all(theta >= box[:, 0]) and np.all(theta <= box[:, 1])
 
     def test_degenerate_single_round(self):
@@ -93,7 +93,7 @@ class TestTrainInit:
         insts = small_instances(5, seed=12)
         a = train_init(insts, p=2, t_rounds=2, seed=3, n_init=2)
         b = train_init(insts, p=2, t_rounds=2, seed=3, n_init=2)
-        assert np.array_equal(a.to_vector(), b.to_vector())
+        assert np.array_equal(a.angles, b.angles)
         assert a.training_meta == b.training_meta
 
     def test_builds_one_diagonal_per_instance(self, diagonal_builds):
@@ -106,8 +106,7 @@ class TestTrainInit:
         insts = small_instances(5, seed=13)
         models = [build_ising(i) for i in insts]
         init = train_init(insts, p=2, t_rounds=2, seed=4, n_init=3)
-        params = QaoaParams(p=2, gammas=init.gammas, betas=init.betas)
-        assert meta_objective(models, params) == pytest.approx(
+        assert meta_objective(models, init.angles) == pytest.approx(
             init.training_meta["final_objective"], abs=1e-9
         )
 
@@ -123,7 +122,7 @@ class TestTrainInit:
         n_init, t_rounds, seed = 4, 3, 5
         init = train_init(insts, p=2, t_rounds=t_rounds, seed=seed, n_init=n_init)
         history = bayes_opt(
-            lambda th: meta_objective(models, QaoaParams.from_vector(th)),
+            lambda th: meta_objective(models, th),
             angle_bounds(2),
             t_rounds,
             kappa=2.0,
@@ -131,7 +130,7 @@ class TestTrainInit:
             seed=seed,
             kernel=SquaredExponentialKernel(length_scale=TRAIN_LENGTH_SCALE),
         )
-        assert np.array_equal(init.to_vector(), history.best_point)
+        assert np.array_equal(init.angles, history.best_point)
         design_best = min(v for _, v in history.evaluations[:n_init])
         assert history.best_value <= design_best
 
@@ -163,7 +162,7 @@ class TestTrainInit:
             init = train_init(insts, p=3, t_rounds=t_rounds, seed=rep, n_init=n_init)
             rgen = substream(rep, 77)
             rand_best = min(
-                meta_objective(models, QaoaParams.from_vector(low + rgen.random(6) * span))
+                meta_objective(models, low + rgen.random(6) * span)
                 for _ in range(budget)
             )
             wins += init.training_meta["final_objective"] <= rand_best
@@ -174,8 +173,11 @@ class TestInitParamsIO:
     def test_record_round_trip(self):
         insts = small_instances(4, seed=16)
         init = train_init(insts, p=2, t_rounds=1, seed=6, n_init=2)
-        back = init_params_from_record(init_params_to_record(init))
-        assert np.array_equal(init.to_vector(), back.to_vector())
+        record = init_params_to_record(init)
+        assert record["p"] == 2 and record["gammas"] == [float(v) for v in init.angles[:2]]
+        assert record["betas"] == [float(v) for v in init.angles[2:]]
+        back = init_params_from_record(record)
+        assert np.array_equal(init.angles, back.angles)
         assert back.training_meta == init.training_meta
 
     def test_file_round_trip(self, tmp_path):
@@ -184,7 +186,7 @@ class TestInitParamsIO:
         path = tmp_path / "init.json"
         write_init_params(path, init)
         back = read_init_params(path)
-        assert np.array_equal(init.to_vector(), back.to_vector())
+        assert np.array_equal(init.angles, back.angles)
 
     def test_reader_rejects_inconsistent_depth(self):
         record = {
