@@ -38,12 +38,7 @@ from .instances import (
 from .ising import build_ising, index_to_bitstring, index_to_spins, ising_energy, spins_to_bits
 from .jsonio import SCHEMA_VERSION, dump_line, dumps, format_float, strict_float, strict_int
 from .rng import STREAM_ANTENNA_CHOICE, STREAM_INSTANCE_SEEDS, STREAM_RANDOM_INIT, substream
-from .simulator import (
-    DEFAULT_QUBIT_CAP,
-    hamiltonian_diagonal,
-    qaoa_state,
-    success_probability,
-)
+from .simulator import hamiltonian_diagonal, qaoa_state, success_probability
 from .simulator import expectation as simulator_expectation
 from .warmstart import (
     DEFAULT_BETA_MAX,
@@ -78,7 +73,7 @@ class WorkerError(Exception):
 
 
 # What every detection run of one command shares, built once from the config.
-DetectionSettings = namedtuple("DetectionSettings", "methods bounds budget tol top_k max_qubits")
+DetectionSettings = namedtuple("DetectionSettings", "methods bounds budget tol top_k")
 
 
 def _load_config(path):
@@ -114,25 +109,15 @@ def _optional(config, key, convert, default, minimum=None):
     return _require(config, key, convert, minimum)
 
 
-def _resolve_seed(config, seed_override):
-    if seed_override is not None:
-        return _require({"--seed": seed_override}, "--seed", strict_int, minimum=0)
-    if "seed" not in config or config["seed"] is None:
-        raise ConfigError("a seed is required (config key 'seed' or --seed)")
-    return _require(config, "seed", strict_int, minimum=0)
-
-
-def _resolve_out(config, out_override):
-    out = out_override if out_override is not None else config.get("out")
-    if not out or not isinstance(out, str):
-        raise ConfigError(f"an output path (config key 'out' or --out) is required, got {out!r}")
-    return out
-
-
-def _resolve_path(config, key):
+def _path(config, key):
     path = config.get(key)
     if not path or not isinstance(path, str):
         raise ConfigError(f"config key {key!r} must be a non-empty path string, got {path!r}")
+    return path
+
+
+def _resolve_path(config, key):
+    path = _path(config, key)
     if not os.path.exists(path):
         raise ConfigError(f"config path {key!r} does not exist: {path}")
     return path
@@ -182,11 +167,10 @@ def cmd_train_init(config, seed, out):
     t_rounds = _require(config, "t_rounds", strict_int, minimum=1)
     kappa = _optional(config, "kappa", strict_float, 2.0, minimum=0.0)
     n_init = _optional(config, "n_init", strict_int, DEFAULT_TRAIN_N_INIT, minimum=1)
-    max_qubits = _optional(config, "max_qubits", strict_int, DEFAULT_QUBIT_CAP, minimum=1)
 
     init = train_init(
         instances, p=p, t_rounds=t_rounds, kappa=kappa, seed=seed, n_init=n_init,
-        bounds=_resolve_bounds(config, p), max_qubits=max_qubits,
+        bounds=_resolve_bounds(config, p),
     )
     write_init_params(out, init)
     print(
@@ -218,10 +202,10 @@ def _top_indices(probs, k):
 def _run_detection(inst, model, oracle, theta0, method, settings):
     """Refine angles on one instance and assemble its report record."""
     trace = localopt.minimize(
-        lambda theta: simulator_expectation(model, theta, settings.max_qubits), theta0,
+        lambda theta: simulator_expectation(model, theta), theta0,
         bounds=settings.bounds, budget=settings.budget, tol=settings.tol,
     )
-    amps = qaoa_state(model, trace.best_point, settings.max_qubits)
+    amps = qaoa_state(model, trace.best_point)
     probs = amps.real**2 + amps.imag**2
 
     order = _top_indices(probs, settings.top_k)
@@ -319,7 +303,6 @@ def _detection_runs(config, seed, methods):
         localopt.check_tol(tol, bounds)
     except ValueError as exc:
         raise ConfigError(f"config key {exc}") from exc
-    max_qubits = _optional(config, "max_qubits", strict_int, DEFAULT_QUBIT_CAP, minimum=1)
     # random starts: one uniform draw over the angle box per instance, in file order
     gen = substream(seed, STREAM_RANDOM_INIT)
     low, span = bounds[:, 0], bounds[:, 1] - bounds[:, 0]
@@ -330,7 +313,7 @@ def _detection_runs(config, seed, methods):
             raise ConfigError(f"init file has p={init.angles.size // 2} but config requests p={p}")
         starts[TRAINED_INIT] = [init.angles] * len(instances)
 
-    settings = DetectionSettings(methods, bounds, budget, tol, top_k, max_qubits)
+    settings = DetectionSettings(methods, bounds, budget, tol, top_k)
     per_instance = list(zip(*(starts[method] for method in methods)))
     results = _map_instances(instances, per_instance, settings)
     return instances, (run for runs in results for run in runs)
@@ -539,14 +522,11 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         config = _load_config(args.config)
+        config.update((k, v) for k, v in vars(args).items() if k in ("seed", "out") and v is not None)
         if args.mode == "selftest":
-            if args.seed is not None:
-                seed = _resolve_seed(config, args.seed)
-            else:
-                seed = _optional(config, "seed", strict_int, 0, minimum=0)
-            return cmd_selftest(seed)
-        seed = _resolve_seed(config, args.seed)
-        out = _resolve_out(config, args.out)
+            return cmd_selftest(_optional(config, "seed", strict_int, 0, minimum=0))
+        seed = _require(config, "seed", strict_int, minimum=0)
+        out = _path(config, "out")
         if args.mode == "gen-instances":
             return cmd_gen_instances(config, seed, out)
         if args.mode == "train-init":

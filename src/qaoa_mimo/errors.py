@@ -2,7 +2,7 @@
 
 
 class ResourceLimitError(Exception):
-    """A requested computation exceeds a configured size cap."""
+    """A requested computation exceeds a fixed size cap."""
 
 
 class ObjectiveEvaluationError(Exception):

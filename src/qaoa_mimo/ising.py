@@ -36,12 +36,17 @@ class IsingModel:
 
 
 def build_ising(inst):
-    """Encode a ChannelInstance as an IsingModel."""
+    """Encode a ChannelInstance as an IsingModel; ValueError if an energy term
+    overflows float64 (finite records can, such as noise of scale 1e200)."""
     h, y = inst.h, inst.y
-    gram = h.T @ h
-    gram = 0.5 * (gram + gram.T)  # exact symmetry; BLAS output can be off at 1 ulp
-    offset = float(y @ y + np.trace(gram))
-    return IsingModel(n=inst.n_t, gram=gram, matched=h.T @ y, offset=offset)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
+        gram = h.T @ h
+        gram = 0.5 * (gram + gram.T)  # exact symmetry; BLAS output can be off at 1 ulp
+        matched = h.T @ y
+        offset = float(y @ y + np.trace(gram))
+    if not (np.isfinite(offset) and np.isfinite(gram).all() and np.isfinite(matched).all()):
+        raise ValueError(f"instance {inst.seed}: energies overflow float64")
+    return IsingModel(n=inst.n_t, gram=gram, matched=matched, offset=offset)
 
 
 def ising_energy(model, x):

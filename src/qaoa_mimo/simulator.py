@@ -28,7 +28,8 @@ blocks of its layers, and an n = 6 layer's two width-3 blocks are one.
 
 Expectations are computed exactly from the final probabilities
 (infinite-shot limit).  A model's diagonal is built the first time it
-is simulated and kept with the model for every later call.
+is simulated and kept with the model for every later call; a model of
+more than DEFAULT_QUBIT_CAP qubits is refused when that build starts.
 """
 
 import functools
@@ -38,7 +39,7 @@ import numpy as np
 from .errors import ResourceLimitError
 from .ising import spins_to_index
 
-# 2^20 complex doubles is 16 MB; anything larger needs an explicit override.
+# Most qubits simulated: 2^20 complex doubles is 16 MB.
 DEFAULT_QUBIT_CAP = 20
 
 # Widest mixer block: a 32 x 32 unitary per pass over the amplitudes.
@@ -76,13 +77,6 @@ def _angle_vector(angles):
     return angles
 
 
-def _check_cap(n, max_qubits):
-    if n > max_qubits:
-        raise ResourceLimitError(
-            f"{n} qubits exceeds the simulator cap of {max_qubits}"
-        )
-
-
 def _flip_costs(model):
     """The doubling's inputs, from fields f_k = -2 matched[k] and couplings
     J_kj = 2 gram[k, j]: the energy of the all-(+1) state, the change
@@ -105,13 +99,15 @@ def _double(table, k, start, steps, op):
     op(half, table[: 1 << k], out=half)
 
 
-def hamiltonian_diagonal(model, max_qubits=DEFAULT_QUBIT_CAP):
+def hamiltonian_diagonal(model):
     """Diagonal of the problem Hamiltonian over all 2^n basis states.
 
     Entry m is the classical spin energy of the symbol vector encoded by
     index m (bit k set means spin k is -1), built by doubling over qubits.
+    ResourceLimitError above DEFAULT_QUBIT_CAP qubits, before any allocation.
     """
-    _check_cap(model.n, max_qubits)
+    if model.n > DEFAULT_QUBIT_CAP:
+        raise ResourceLimitError(f"{model.n} qubits exceeds the simulator cap of {DEFAULT_QUBIT_CAP}")
     energy, flips, steps = _flip_costs(model)
     diag = np.empty(1 << model.n)
     diag[0] = energy
@@ -120,11 +116,10 @@ def hamiltonian_diagonal(model, max_qubits=DEFAULT_QUBIT_CAP):
     return diag
 
 
-def _model_diagonal(model, max_qubits):
+def _model_diagonal(model):
     """The model's diagonal: built on first use, then kept with the model."""
-    _check_cap(model.n, max_qubits)
     if model.diagonal is None:
-        diag = hamiltonian_diagonal(model, max_qubits)
+        diag = hamiltonian_diagonal(model)
         diag.flags.writeable = False
         object.__setattr__(model, "diagonal", diag)
     return model.diagonal
@@ -201,17 +196,17 @@ def _evolve(model, diag, angles):
     return amps
 
 
-def qaoa_state(model, angles, max_qubits=DEFAULT_QUBIT_CAP):
+def qaoa_state(model, angles):
     """Amplitudes after the p phase/mixer layers of ``angles`` on |+>^n: a
     complex array of length 2^n (bit k of the index = qubit k)."""
     angles = _angle_vector(angles)
-    return _evolve(model, _model_diagonal(model, max_qubits), angles)
+    return _evolve(model, _model_diagonal(model), angles)
 
 
-def expectation(model, angles, max_qubits=DEFAULT_QUBIT_CAP):
+def expectation(model, angles):
     """Exact <H_C> in the variational state (no shot noise)."""
     angles = _angle_vector(angles)
-    diag = _model_diagonal(model, max_qubits)
+    diag = _model_diagonal(model)
     amps = _evolve(model, diag, angles)
     probs = amps.real**2 + amps.imag**2
     # not probs @ diag: OpenBLAS splits a long dot product across threads,

@@ -16,7 +16,7 @@ import numpy as np
 from .bayesopt import SquaredExponentialKernel, bayes_opt
 from .ising import build_ising
 from .jsonio import SCHEMA_VERSION, dumps, float_array, read_fields, strict_int
-from .simulator import DEFAULT_QUBIT_CAP, expectation
+from .simulator import expectation
 
 DEFAULT_GAMMA_MAX = np.pi / 8
 DEFAULT_BETA_MAX = np.pi
@@ -50,13 +50,13 @@ class InitParams:
     training_meta: dict
 
 
-def meta_objective(models, angles, max_qubits=DEFAULT_QUBIT_CAP):
+def meta_objective(models, angles):
     """Mean of <H_C> at ``angles`` over the model batch (fixed summation order)."""
     if not models:
         raise ValueError("at least one model is required")
     total = 0.0
     for model in models:
-        total += expectation(model, angles, max_qubits)
+        total += expectation(model, angles)
     return total / len(models)
 
 
@@ -68,7 +68,6 @@ def train_init(
     seed=0,
     n_init=DEFAULT_TRAIN_N_INIT,
     bounds=None,
-    max_qubits=DEFAULT_QUBIT_CAP,
 ):
     """Train shared initial angles on a batch of instances.
 
@@ -85,7 +84,7 @@ def train_init(
         bounds = angle_bounds(p)
 
     history = bayes_opt(
-        lambda theta: meta_objective(models, theta, max_qubits), bounds, t_rounds,
+        lambda theta: meta_objective(models, theta), bounds, t_rounds,
         kappa=kappa, n_init=n_init, seed=seed,
         kernel=SquaredExponentialKernel(length_scale=TRAIN_LENGTH_SCALE),
     )

@@ -72,15 +72,30 @@ class TestGenInstances:
         assert out_a.read_bytes() == out_b.read_bytes()
 
     def test_seed_flag_overrides_config(self, tmp_path):
-        out_a, out_b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        config = write_config(tmp_path, "gen.json", count=2, n_t=2, seed=1)
-        cli.main(["gen-instances", "--config", config, "--out", str(out_a)])
-        cli.main(["gen-instances", "--config", config, "--seed", "2", "--out", str(out_b)])
-        assert out_a.read_bytes() != out_b.read_bytes()
+        plain, flagged = tmp_path / "plain.jsonl", tmp_path / "flagged.jsonl"
+        config = write_config(tmp_path, "gen.json", count=2, n_t=2, seed=2)
+        assert cli.main(["gen-instances", "--config", config, "--out", str(plain)]) == 0
+        # the flag wins over any config seed, also one that is null or not a number
+        for config_seed in (1, None, "abc"):
+            config = write_config(tmp_path, "gen.json", count=2, n_t=2, seed=config_seed)
+            argv = ["gen-instances", "--config", config, "--seed", "2", "--out", str(flagged)]
+            assert cli.main(argv) == 0
+            assert flagged.read_bytes() == plain.read_bytes()
 
-    def test_missing_seed_is_config_error(self, tmp_path):
+    @pytest.mark.parametrize("config_out", ["config.jsonl", None, 5], ids=["path", "null", "int"])
+    def test_out_flag_wins_over_config_out(self, tmp_path, monkeypatch, config_out):
+        monkeypatch.chdir(tmp_path)
+        config = write_config(tmp_path, "gen.json", count=2, n_t=2, seed=1, out=config_out)
+        assert cli.main(["gen-instances", "--config", config, "--out", "flag.jsonl"]) == 0
+        assert sorted(os.listdir(tmp_path)) == ["flag.jsonl", "gen.json"]
+
+    def test_missing_seed_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "x.jsonl"
         config = write_config(tmp_path, "gen.json", count=2, n_t=2)
-        assert cli.main(["gen-instances", "--config", config, "--out", "x.jsonl"]) == 1
+        assert cli.main(["gen-instances", "--config", config, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1 and "'seed'" in err
+        assert not out.exists()
 
     def test_bad_count_is_config_error(self, tmp_path):
         config = write_config(tmp_path, "gen.json", count=0, n_t=2, seed=1)
@@ -232,6 +247,15 @@ def test_non_string_path_is_config_error(tmp_path, monkeypatch, capfd, mode, key
     assert sorted(os.listdir(tmp_path)) == before
 
 
+def run_cli_process(*argv):
+    """The command line in a fresh interpreter, so numpy's warnings reach its stderr."""
+    return subprocess.run(
+        [sys.executable, "-m", "qaoa_mimo.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__))),
+        capture_output=True, text=True, timeout=120,
+    )
+
+
 def write_overflowing_config(tmp_path, **fields):
     """Generated instances with a phase window so wide that <H_C> overflows to NaN."""
     instances = tmp_path / "inst.jsonl"
@@ -248,18 +272,44 @@ def write_overflowing_config(tmp_path, **fields):
 )
 def test_overflowing_phase_prints_no_numpy_warning(tmp_path, mode, fields, code):
     config = write_overflowing_config(tmp_path, **fields)
-    proc = subprocess.run(
-        [sys.executable, "-m", "qaoa_mimo.cli", mode, "--config", config,
-         "--out", str(tmp_path / "out")],
-        env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__))),
-        capture_output=True, text=True, timeout=120,
-    )
+    proc = run_cli_process(mode, "--config", config, "--out", str(tmp_path / "out"))
     assert proc.returncode == code
     if mode == "train-init":  # the run's one error line, and nothing else
         assert proc.stderr.startswith("runtime error: objective failed")
         assert proc.stderr.count("\n") == 1
     else:  # detect writes its failures as error rows
         assert proc.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "mode, fields, code",
+    [("train-init", {"t_rounds": 1, "n_init": 2}, 2), ("detect", {"budget": 5}, 3),
+     ("compare", {"budget": 5}, 3)],
+    ids=["train-init", "detect", "compare"],
+)
+def test_overflowing_instance_energies_are_refused(tmp_path, mode, fields, code):
+    # finite records whose ||y||^2, and so the Ising offset, overflows float64
+    instances, init = tmp_path / "inst.jsonl", tmp_path / "init.json"
+    gen = write_config(tmp_path, "gen.json", count=2, n_t=2, noise_scale=1e200, seed=1)
+    assert cli.main(["gen-instances", "--config", gen, "--out", str(instances)]) == 0
+    init.write_text(json.dumps({"p": 1, "gammas": [0.1], "betas": [0.2], "training_meta": {}}))
+    config = write_config(
+        tmp_path, "run.json", instances=str(instances), init=str(init), p=1, seed=1, **fields
+    )
+    out = tmp_path / "out"
+    proc = run_cli_process(mode, "--config", config, "--out", str(out))
+    assert proc.returncode == code
+    if mode == "train-init":  # the run's one error line, and nothing else
+        assert proc.stderr.startswith("runtime error: ") and "overflow" in proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert not out.exists()
+    else:  # every run is an error row, and compare still writes its summary
+        assert proc.stderr == ""
+        rows = read_jsonl(out / "reports.jsonl" if mode == "compare" else out)
+        assert len(rows) == {"detect": 2, "compare": 4}[mode]
+        assert all(row["error"].startswith("ValueError: ") for row in rows)
+        if mode == "compare":
+            assert json.loads((out / "summary.json").read_text())["n_failures"] == 4
 
 
 # Arrays numpy refuses before allocating anything: each is larger than
@@ -340,7 +390,7 @@ def test_malformed_record_is_runtime_error(tmp_path, capsys, target, key, mangle
 
 @pytest.mark.parametrize(
     "mode, key", [("train-init", "t_rounds"), ("train-init", "n_init"), ("detect", "p"),
-                  ("detect", "budget"), ("detect", "top_k"), ("detect", "max_qubits")],
+                  ("detect", "budget"), ("detect", "top_k")],
 )
 def test_numeric_string_integer_key_is_config_error(tmp_path, capsys, mode, key):
     instances = tmp_path / "inst.jsonl"
@@ -496,23 +546,19 @@ class TestDetect:
         )
         assert cli.main(["detect", "--config", config, "--out", "x.jsonl"]) == 1
 
-    def test_qubit_cap_key_causes_partial_failure(self, tmp_path):
-        instances_path = tmp_path / "inst.jsonl"
-        cli.main([
-            "gen-instances",
-            "--config", write_config(tmp_path, "g.json", count=2, n_t=6, seed=8),
-            "--out", str(instances_path),
-        ])
+    def test_oversized_instance_causes_partial_failure(self, tmp_path):
+        instances = tmp_path / "inst.jsonl"
+        write_instances(instances, [make_identity_instance([1, -1, 1], seed=5),
+                                    make_identity_instance([1] * 21, seed=6)])
         out = tmp_path / "reports.jsonl"
-        config = write_config(
-            tmp_path, "detect.json", instances=str(instances_path), p=2, budget=20, seed=4,
-            max_qubits=3,
-        )
+        config = write_config(tmp_path, "detect.json", instances=str(instances), p=1, seed=4)
         assert cli.main(["detect", "--config", config, "--out", str(out)]) == 3
-        reports = read_jsonl(out)
-        assert len(reports) == 2
-        assert all("error" in r for r in reports)
-        assert "exceeds the simulator cap" in reports[0]["error"]
+        solved, refused = read_jsonl(out)
+        assert "error" not in solved
+        # the exhaustive oracle refuses 21 antennas before the simulator's 21 qubits are built
+        assert refused["error"] == (
+            "ResourceLimitError: exhaustive search over 2^21 candidates exceeds the cap of 20 antennas"
+        )
 
     def test_one_instance_starts_no_worker_process(self, tmp_path):
         instances = tmp_path / "inst.jsonl"
@@ -528,17 +574,19 @@ class TestDetect:
         assert subprocess.run([sys.executable, "-c", script], timeout=60).returncode == 0
         assert len(read_jsonl(out)) == 1
 
-    @pytest.mark.parametrize("cap", [0, -1, "three"])
-    def test_bad_qubit_cap_key_is_config_error(self, tmp_path, cap):
-        inst = make_identity_instance([1, -1], seed=5)
+    def test_removed_qubit_cap_key_is_ignored(self, tmp_path):
         instances = tmp_path / "inst.jsonl"
-        write_instances(instances, [inst])
-        out = tmp_path / "reports.jsonl"
-        config = write_config(
-            tmp_path, "detect.json", instances=str(instances), p=1, seed=4, max_qubits=cap
-        )
-        assert cli.main(["detect", "--config", config, "--out", str(out)]) == 1
-        assert not out.exists()
+        gen = write_config(tmp_path, "g.json", count=2, n_t=6, seed=8)
+        assert cli.main(["gen-instances", "--config", gen, "--out", str(instances)]) == 0
+        outputs = []
+        for extra in ({}, {"max_qubits": 3}):
+            out = tmp_path / f"reports-{len(outputs)}.jsonl"
+            config = write_config(
+                tmp_path, "detect.json", instances=str(instances), p=2, budget=20, seed=4, **extra
+            )
+            assert cli.main(["detect", "--config", config, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_non_finite_objective_writes_error_rows(self, tmp_path):
         config = write_overflowing_config(tmp_path, budget=10)
@@ -612,16 +660,14 @@ class TestCompare:
 
     def test_qubit_cap_fails_every_run(self, tmp_path):
         count = 2
-        config = self.setup_run(tmp_path, count=count, n_t=4)
-        with open(config) as fh:
-            config = write_config(tmp_path, "cmp.json", **json.load(fh), max_qubits=3)
+        config = self.setup_run(tmp_path, count=count, n_t=21)
         out = tmp_path / "cmp"
         assert cli.main(["compare", "--config", config, "--out", str(out)]) == 3
         reports = read_jsonl(out / "reports.jsonl")
         assert len(reports) == 2 * count
         for r in reports:
             assert set(r) == {"schema_version", "instance_seed", "n_t", "method", "error"}
-            assert r["n_t"] == 4
+            assert r["n_t"] == 21
         summary = json.loads((out / "summary.json").read_text())
         assert summary["n_failures"] == 2 * count
         assert summary["n_paired"] == 0
@@ -652,14 +698,12 @@ class TestCompare:
         assert calls == {"build_ising": count, "brute_force_detect": count}
 
     def test_outputs_do_not_depend_on_worker_count(self, tmp_path, monkeypatch):
-        config = self.setup_run(tmp_path, count=6, n_t=[2, 3, 4])
-        with open(config) as fh:
-            fields = {**json.load(fh), "max_qubits": 3}
-        compare = write_config(tmp_path, "cmp.json", **fields)
-        random_only = {k: v for k, v in fields.items() if k != "init"}
+        compare = self.setup_run(tmp_path, count=6, n_t=[2, 3, 21])
+        with open(compare) as fh:
+            random_only = {k: v for k, v in json.load(fh).items() if k != "init"}
         detect = write_config(tmp_path, "det.json", **random_only)
         n_ts = [inst.n_t for inst in read_instances(tmp_path / "inst.jsonl")]
-        assert 4 in n_ts and min(n_ts) <= 3  # some instances exceed the cap, some do not
+        assert 21 in n_ts and min(n_ts) <= 3  # some instances exceed the cap, some do not
 
         results = {}
         for cpus in (1, 4):
@@ -821,6 +865,14 @@ class TestSelftestAndErrors:
         lines = capsys.readouterr().out.splitlines()
         assert [line.split(": ")[0] for line in lines] == [f"selftest {c.name}" for c in cli.CHECKS]
         assert all(line.split(": ")[1].startswith("PASS (") for line in lines)
+
+    @pytest.mark.parametrize("config_seed", [1, None, "abc"], ids=["int", "null", "string"])
+    def test_selftest_seed_flag_wins_over_any_config_seed(self, tmp_path, monkeypatch, config_seed):
+        seeds = []
+        monkeypatch.setattr(cli, "cmd_selftest", lambda seed: seeds.append(seed) or 0)
+        config = write_config(tmp_path, "self.json", seed=config_seed)
+        assert cli.main(["selftest", "--config", config, "--seed", "3"]) == 0
+        assert seeds == [3]
 
     def test_selftest_negative_seed_is_config_error(self, tmp_path, capsys):
         assert cli.main(["selftest", "--seed", "-3"]) == 1

@@ -85,7 +85,7 @@ class TestAngleVector:
         with pytest.raises(ValueError, match="positive even length"):
             simulate(model, angles)
         with pytest.raises(ValueError, match="positive even length"):
-            simulate(model, angles, max_qubits=4)  # not ResourceLimitError
+            simulate(field_only_model(np.ones(21)), angles)  # not ResourceLimitError
         assert diagonal_builds == [] and model.diagonal is None
 
     def test_list_gives_the_bits_of_an_array(self):
@@ -125,10 +125,14 @@ class TestDiagonal:
 
     def test_cap(self):
         model = field_only_model(np.ones(21))
-        with pytest.raises(ResourceLimitError):
-            hamiltonian_diagonal(model)
-        with pytest.raises(ResourceLimitError):
-            hamiltonian_diagonal(field_only_model(np.ones(5)), max_qubits=4)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="21 qubits exceeds the simulator cap of 20"):
+                hamiltonian_diagonal(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16  # refused before the 16 MB diagonal is allocated
 
 
 class TestDiagonalReuse:
@@ -148,15 +152,13 @@ class TestDiagonalReuse:
             model.diagonal[0] = 0.0
         assert np.array_equal(model.diagonal, hamiltonian_diagonal(model))
 
-    def test_cap_checked_on_every_call(self):
-        model = build_ising(generate_instance(5, 5, 1.0, seed=5))
-        angles = [0.2, 0.3]
-        expectation(model, angles)
-        assert model.diagonal is not None
-        with pytest.raises(ResourceLimitError):
-            expectation(model, angles, max_qubits=4)
-        with pytest.raises(ResourceLimitError):
-            qaoa_state(model, angles, max_qubits=4)
+    def test_cap_checked_on_every_call(self, diagonal_builds):
+        # a refused model caches nothing, so each call tries the build again
+        model = field_only_model(np.ones(21))
+        for simulate in (expectation, expectation, qaoa_state):
+            with pytest.raises(ResourceLimitError):
+                simulate(model, [0.2, 0.3])
+        assert diagonal_builds == [model] * 3 and model.diagonal is None
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_reused_diagonal_gives_same_bits(self, n):
