@@ -37,7 +37,8 @@ from .instances import (
 )
 from .ising import build_ising, index_to_bitstring, index_to_spins, ising_energy, spins_to_bits
 from .jsonio import SCHEMA_VERSION, dump_line, dumps, format_float, strict_float, strict_int
-from .rng import STREAM_ANTENNA_CHOICE, STREAM_INSTANCE_SEEDS, STREAM_RANDOM_INIT, substream
+from .rng import MAX_ABS_NORMAL, STREAM_ANTENNA_CHOICE, STREAM_INSTANCE_SEEDS
+from .rng import STREAM_RANDOM_INIT, substream
 from .simulator import hamiltonian_diagonal, qaoa_state, success_probability
 from .simulator import expectation as simulator_expectation
 from .warmstart import (
@@ -142,6 +143,16 @@ def cmd_gen_instances(config, seed, out):
         raise ConfigError(
             f"{count} instances of up to {per_instance} values each exceed "
             f"the cap of {MAX_GENERATED_VALUES} generated values"
+        )
+    # |h| and |noise| / noise_scale are at most MAX_ABS_NORMAL, so ||y - H x||^2
+    # and every energy term build_ising forms are at most
+    # n_r * (MAX_ABS_NORMAL * (2 n_t + noise_scale))^2; keep 4 times that finite
+    widest = max(choices)
+    largest = math.sqrt(sys.float_info.max / (4 * (n_r or widest))) / MAX_ABS_NORMAL - 2 * widest
+    if noise_scale > largest:
+        raise ConfigError(
+            f"noise_scale {noise_scale} exceeds {largest:.6g}, above which the "
+            f"energies of instances with n_t = {widest} can overflow float64"
         )
 
     seeds = substream(seed, STREAM_INSTANCE_SEEDS).integers(0, 2**63, size=count)

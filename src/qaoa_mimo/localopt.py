@@ -33,6 +33,8 @@ SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS "AS IS" AND
 ANY EXPRESS OR IMPLIED WARRANTIES ARE DISCLAIMED.
 """
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,8 +58,8 @@ _REASONS = {
 }
 
 # PRIMA's constants and default parameters (common/consts.py, cobyla.py)
-_EPS = np.finfo(float).eps
-_REALMIN = np.finfo(float).tiny
+_EPS = float(np.finfo(float).eps)
+_REALMIN = float(np.finfo(float).tiny)
 _FUNCMAX = 1e30  # larger values are moderated to this
 _ETA1 = 0.1
 _ETA2 = (_ETA1 + 2) / 3  # derived from ETA1 as cobyla.py does
@@ -98,7 +100,7 @@ def evaluate_guarded(objective, x, evaluations):
     value, ObjectiveEvaluationError carries the trace of ``evaluations``."""
     try:
         value = float(objective(x))
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise ValueError(f"non-finite value {value}")
     except Exception as exc:
         raise ObjectiveEvaluationError(
@@ -158,10 +160,11 @@ def minimize(objective, x0, bounds=None, budget=150, tol=1e-6):
     if bounds is not None:
         bounds = check_box(bounds, x0.size)
         low, high = bounds[:, 0], bounds[:, 1]
+        low_list, high_list = low.tolist(), high.tolist()
     check_count("budget", budget)
     check_tol(tol, bounds)
 
-    evaluations = []
+    evaluations, last = [], None
     # COBYLA needs d + 2 evaluations at least; a smaller budget stops it
     # when it asks for one more
     run = _cobyla(x0, initial_radius(bounds), tol, max(budget, x0.size + 2))
@@ -170,16 +173,21 @@ def minimize(objective, x0, bounds=None, budget=150, tol=1e-6):
         while True:
             x = run.send(value)
             # scipy hands COBYLA the cached value when it asks for the last point again
-            if evaluations and (x == evaluations[-1][0]).all():
+            if x.tolist() == last:
                 value = evaluations[-1][1]
             elif len(evaluations) == budget:
                 break
             else:
                 x = x.copy()
                 value = evaluate_guarded(objective, x, evaluations)
+                last = x.tolist()
                 if bounds is not None:
-                    excess = np.maximum(low - x, 0.0) + np.maximum(x - high, 0.0)
-                    value += PENALTY_WEIGHT * float(excess @ excess)
+                    penalty = 0.0  # inside the box, and added all the same: -0.0 + 0.0 is 0.0
+                    if not (all(map(operator.le, low_list, last))
+                            and all(map(operator.le, last, high_list))):
+                        excess = np.maximum(low - x, 0.0) + np.maximum(x - high, 0.0)
+                        penalty = PENALTY_WEIGHT * float(excess @ excess)
+                    value += penalty
                 evaluations.append((x, value))
             value = min(value, _FUNCMAX)
     except StopIteration as stop:  # COBYLA returned its exit flag
@@ -190,9 +198,24 @@ def minimize(objective, x0, bounds=None, budget=150, tol=1e-6):
 # ---------------------------------------------------------------------------
 # PRIMA's COBYLA without constraints.  Names follow PRIMA: sim holds the
 # pole sim[:, n] and the edges sim[:, :n] from it, simi is the inverse of
-# the edge matrix, fval the values at pole + edges and at the pole.  Each
-# floating-point expression keeps PRIMA's operand order and numpy call, so
-# the rounding is the same.
+# the edge matrix, fval the values at pole + edges and at the pole.
+#
+# The port asks for scipy's points while every rounding is scipy's:
+# - Scalars may be Python floats: one IEEE operation rounds alike in Python
+#   and numpy, and math.sqrt is np.sqrt.  A Python division needs a nonzero
+#   divisor, since Python raises where numpy returns inf or NaN.
+# - Each `@` and `.dot` stays a numpy call on scipy's operands, down to
+#   planerot's 2-element norm: OpenBLAS fuses its multiply-add, so
+#   x0*x0 + x1*x1 differs in about one pair in eight.  np.outer is an
+#   elementwise multiply and is written as one.
+# - np.hypot is libm's hypot, and so is CPython's abs of a complex (which
+#   raises on overflow); math.hypot is not.
+# - Sums stay numpy's: along axis 0 it adds row by row, but a 1-D array of
+#   8 or more entries (d = 8 is p = 4) pairwise; Python's sum of floats is
+#   compensated from 3.12 on.
+# - Python's max skips a NaN that numpy's returns; the port takes it where
+#   scipy does or no NaN reaches: sim holds none while _checked_inverse
+#   passes it, and setdrop_tr scores a NaN -1.
 
 
 def _cobyla(x0, rhobeg, rhoend, maxfun):
@@ -207,7 +230,7 @@ def _cobyla(x0, rhobeg, rhoend, maxfun):
     # rhobeg along each axis from the best point so far
     sim = np.eye(n, n + 1) * rhobeg
     sim[:, n] = x0
-    fval = np.zeros(n + 1)
+    fval = [0.0] * (n + 1)
     for k in range(n + 1):
         x = sim[:, n].copy()
         if k == 0:
@@ -236,13 +259,13 @@ def _cobyla(x0, rhobeg, rhoend, maxfun):
     distsq = np.zeros(n + 1)
     info = MAXTR_REACHED
     for _ in range(10 * maxfun):
-        colsq = (sim[:, :n] * sim[:, :n]).sum(axis=0)
-        adequate_geo = (colsq <= 4 * (delta * delta)).all()
-        g = (fval[:n] - fval[n]) @ simi
+        colsq = (sim[:, :n] * sim[:, :n]).sum(axis=0).tolist()
+        adequate_geo = max(colsq) <= 4 * (delta * delta)
+        g = np.array([f - fval[n] for f in fval[:n]]) @ simi
         d = _trstlp(delta, g)
-        dnorm = min(delta, _norm(d))
+        dnorm = min(delta, math.sqrt(d.dot(d)))
         shortd = dnorm <= 0.1 * rho
-        prerem = -d.dot(g)
+        prerem = -float(d.dot(g))
         # PRIMA's 1e-6 * min(cpen, 1) * rho, with the penalty cpen at its floor EPS
         trfail = not (prerem > 1.0e-6 * _EPS * rho)
         if shortd or trfail:
@@ -258,9 +281,10 @@ def _cobyla(x0, rhobeg, rhoend, maxfun):
             if delta <= _GAMMA3 * rho:
                 delta = rho
             ximproved = actrem > 0
-            jdrop_tr = _setdrop_tr(ximproved, d, delta, rho, sim, simi)
+            simid = simi @ d
+            jdrop_tr = _setdrop_tr(ximproved, d, delta, rho, sim, simid, colsq)
             if jdrop_tr is not None:  # None keeps the simplex as it is
-                simi, ok = _updatexfc(jdrop_tr, d, f, fval, sim, simi, eye)
+                simi, ok = _updatexfc(jdrop_tr, d, f, fval, sim, simi, simid, eye)
                 if not ok:
                     info = DAMAGING_ROUNDING
                     break
@@ -272,18 +296,18 @@ def _cobyla(x0, rhobeg, rhoend, maxfun):
         improve_geo = bad_trstep and not adequate_geo
         reduce_rho = bad_trstep and adequate_geo and max(delta, dnorm) <= rho
         if improve_geo:
-            colsq = (sim[:, :n] * sim[:, :n]).sum(axis=0)
-        if improve_geo and not (colsq <= 4 * (delta * delta)).all():
+            colsq = (sim[:, :n] * sim[:, :n]).sum(axis=0).tolist()
+        if improve_geo and max(colsq) > 4 * (delta * delta):
             # geometry step (geometry.py: geostep): replace the longest edge
-            jdrop_geo = colsq.argmax()
+            jdrop_geo = colsq.index(max(colsq))
             d = simi[jdrop_geo, :]
-            d = delta / 2 * (d / _norm(d))
-            g = (fval[:n] - fval[n]) @ simi
-            if -d.dot(g) < d.dot(g):
+            d = delta / 2 * (d / math.sqrt(d.dot(d)))
+            g = np.array([f - fval[n] for f in fval[:n]]) @ simi
+            if d.dot(g) > 0:  # PRIMA: -d.dot(g) < d.dot(g)
                 d *= -1
             x = sim[:, n] + d
             f, nf = yield from _value_at(x, sim, fval, distsq, rhoend, nf)
-            simi, ok = _updatexfc(jdrop_geo, d, f, fval, sim, simi, eye)
+            simi, ok = _updatexfc(jdrop_geo, d, f, fval, sim, simi, simi @ d, eye)
             if not ok:
                 info = DAMAGING_ROUNDING
                 break
@@ -300,7 +324,8 @@ def _cobyla(x0, rhobeg, rhoend, maxfun):
     # a last short step is evaluated if the trust region shrank below tol
     if info == SMALL_TR_RADIUS and shortd and nf < maxfun:
         x = sim[:, n] + d
-        if _norm(x - sim[:, n]) > 1.0e-3 * rhoend:
+        step = x - sim[:, n]
+        if math.sqrt(step.dot(step)) > 1.0e-3 * rhoend:
             yield x
     return info
 
@@ -325,69 +350,70 @@ def _trstlp(delta, g):
     PRIMA turns g into the first column of an orthogonal matrix Q by Givens
     rotations (powalg.py: qradd_Rdiag) and steps along -Q[:, 0]."""
     n = g.size
-    maxval = np.abs(g).max()
-    if maxval > 1e12:
-        g = g * max(2 * _REALMIN, 1 / maxval)
     g = g.tolist()
-    cq = [0 if _isminor(c, abs(c)) else c for c in g]
+    maxval = max(map(abs, g))  # scipy's trstlp takes Python's max too
+    if maxval > 1e12:
+        scale = max(2 * _REALMIN, 1 / maxval)
+        g = [c * scale for c in g]
+    cq = [0.0 if _isminor(c, c) else c for c in g]
     # Q starts as the identity, and rotation k mixes columns k and k + 1, so
     # column k after it is c at k and s times column k + 1 below k; every
     # product in PRIMA's 2-column matmul but one has an exact zero factor
     q0 = [0.0] * (n - 1) + [1.0]
+    pair = np.empty(2)
     for k in range(n - 2, -1, -1):
         if abs(cq[k + 1]) > 0:
-            c, s = _planerot(cq[k], cq[k + 1])
-            q0 = [0.0] * k + [c] + [q * s for q in q0[k + 1 :]]
-            cq[k] = np.hypot(cq[k], cq[k + 1])
+            c, s = _planerot(cq[k], cq[k + 1], pair)
+            q0[k] = c
+            q0[k + 1 :] = [q * s for q in q0[k + 1 :]]
+            # np.hypot; |cq| <= 1e12 after the scaling above, so it cannot overflow
+            cq[k] = abs(complex(cq[k], cq[k + 1]))
         else:
-            q0 = [0.0] * k + [1.0] + [0.0] * (n - k - 1)
+            q0[k:] = [1.0] + [0.0] * (n - k - 1)
     if not (abs(cq[0]) > _EPS**2 and not _isminor(cq[0], abs(g[0]))):
         return np.zeros(n)
     sdirn = -1 / cq[0] * np.array(q0)
-    ss = sdirn.dot(sdirn)
+    ss = float(sdirn.dot(sdirn))
     dd = delta * delta
     if dd <= 0 or ss <= _EPS * delta * delta:
         return np.zeros(n)
-    step = np.sqrt(ss * dd) / ss
-    if step <= 0 or not np.isfinite(step):
+    step = math.sqrt(ss * dd) / ss
+    if step <= 0 or not math.isfinite(step):
         return np.zeros(n)
     return 0.0 + step * sdirn  # 0.0 + keeps PRIMA's signed zeros
 
 
-def _norm(v):
-    """np.linalg.norm of a contiguous vector, without its argument checks."""
-    return np.sqrt(v.dot(v))
-
-
 def _isminor(x, ref):
     """True if x is zero up to rounding against ref (linalg.py: isminor)."""
-    refa = abs(ref) + 0.1 * abs(x)
-    refb = abs(ref) + 2 * 0.1 * abs(x)
-    return abs(ref) >= refa or refa >= refb
+    ref, x = abs(ref), abs(x)
+    refa = ref + 0.1 * x
+    return ref >= refa or refa >= ref + 2 * 0.1 * x
 
 
-def _planerot(x0, x1):
+def _planerot(x0, x1, pair):
     """(c, s) of the Givens rotation [[c, s], [-s, c]] that maps the finite
-    (x0, x1), x1 != 0, to (|x|, 0) (linalg.py: planerot)."""
-    if abs(x1) <= _EPS * abs(x0):
-        return np.sign(x0), 0
-    if abs(x0) <= _EPS * abs(x1):
-        return 0, np.sign(x1)
-    if _SQRT_REALMIN < abs(x0) < _SQRT_REALMAX and _SQRT_REALMIN < abs(x1) < _SQRT_REALMAX:
-        x = np.array((x0, x1))
-        r = np.sqrt(x.dot(x))  # np.linalg.norm(x)
+    (x0, x1), x1 != 0, to (|x|, 0) (linalg.py: planerot).  pair is a float
+    2-vector to compute the norm in."""
+    a0, a1 = abs(x0), abs(x1)
+    if a1 <= _EPS * a0:
+        return (1.0 if x0 > 0 else -1.0), 0.0  # np.sign(x0) of a nonzero x0
+    if a0 <= _EPS * a1:
+        return 0.0, (1.0 if x1 > 0 else -1.0)
+    if _SQRT_REALMIN < a0 < _SQRT_REALMAX and _SQRT_REALMIN < a1 < _SQRT_REALMAX:
+        pair[0], pair[1] = x0, x1
+        r = math.sqrt(pair.dot(pair))  # np.linalg.norm's BLAS ddot
         return x0 / r, x1 / r
-    if abs(x0) > abs(x1):
+    if a0 > a1:
         t = x1 / x0
-        u = max(1, abs(t), np.sqrt(1 + t * t)) * np.sign(x0)
+        u = max(1, abs(t), math.sqrt(1 + t * t)) * (1.0 if x0 > 0 else -1.0)
         return 1 / u, t / u
     t = x0 / x1
-    u = max(1, abs(t), np.sqrt(1 + t * t)) * np.sign(x1)
+    u = max(1, abs(t), math.sqrt(1 + t * t)) * (1.0 if x1 > 0 else -1.0)
     return t / u, 1 / u
 
 
-_SQRT_REALMIN = np.sqrt(_REALMIN)
-_SQRT_REALMAX = np.sqrt(np.finfo(float).max / 2.1)
+_SQRT_REALMIN = math.sqrt(_REALMIN)
+_SQRT_REALMAX = math.sqrt(float(np.finfo(float).max) / 2.1)
 
 
 def _trrad(delta, dnorm, ratio):
@@ -406,61 +432,62 @@ def _redrho(rho, rhoend):
         return 0.1 * rho
     if rho_ratio <= 16:
         return rhoend
-    return np.sqrt(rho_ratio) * rhoend
+    return math.sqrt(rho_ratio) * rhoend
 
 
-def _setdrop_tr(ximproved, d, delta, rho, sim, simi):
+def _setdrop_tr(ximproved, d, delta, rho, sim, simid, colsq):
     """The vertex that the trust-region point replaces, or None to keep the
-    simplex (geometry.py: setdrop_tr)."""
-    n = sim.shape[0]
-    distsq = np.zeros(n + 1)
+    simplex (geometry.py: setdrop_tr).  simid is simi @ d and colsq the
+    squared edge lengths, both of the simplex before the step."""
+    n = d.size
     if ximproved:
         edges = sim[:, :n] - d[:, None]
-        distsq[:n] = (edges * edges).sum(axis=0)
-        distsq[n] = (d * d).sum()
+        distsq = (edges * edges).sum(axis=0).tolist()
+        distsq.append(float((d * d).sum()))
     else:
-        distsq[:n] = (sim[:, :n] * sim[:, :n]).sum(axis=0)
-    scale = np.maximum(rho, delta / 10)
-    weight = np.maximum(1, distsq / (scale * scale))
-    simid = simi @ d
-    score = weight * abs(np.append(simid, 1 - simid.sum()))
-    if not ximproved:
-        score[n] = -1
-    if (score > 0).any():
-        return score.argmax()
-    return distsq.argmax() if ximproved else None
+        distsq = colsq + [0.0]
+    scale = max(rho, delta / 10)
+    weight = np.maximum(1, np.divide(distsq, scale * scale)).tolist()
+    score = [w * abs(s) for w, s in zip(weight, simid.tolist())]
+    # the pole scores -1 when the step did not improve, and so does a NaN
+    # (inf * 0 where a weight overflows)
+    score.append(weight[n] * abs(1 - simid.sum()) if ximproved else -1)
+    score = [-1 if math.isnan(s) else s for s in score]
+    best = max(score)
+    if best > 0:
+        return score.index(best)
+    return int(np.array(distsq).argmax()) if ximproved else None
 
 
-def _updatexfc(jdrop, d, f, fval, sim, simi, eye):
+def _updatexfc(jdrop, d, f, fval, sim, simi, simid, eye):
     """Replace vertex jdrop by pole + d with value f, then move the pole to
-    the best vertex (update.py: updatexfc, findpole, updatepole).  Updates
-    sim and fval in place and returns (simi, ok); not ok means rounding has
-    made simi useless, and the run stops."""
+    the best vertex (update.py: updatexfc, findpole, updatepole).  simid is
+    simi @ d.  Updates sim and fval in place and returns (simi, ok); not ok
+    means rounding has made simi useless, and the run stops."""
     n = sim.shape[0]
+    pole, edges = sim[:, n], sim[:, :n]
     if jdrop < n:
-        sim[:, jdrop] = d
+        edges[:, jdrop] = d
         simi_jdrop = simi[jdrop, :] / simi[jdrop, :].dot(d)
-        simi -= np.outer(simi @ d, simi_jdrop)
+        simi -= simid[:, None] * simi_jdrop  # np.outer(simid, simi_jdrop)
         simi[jdrop, :] = simi_jdrop
     else:
-        sim[:, n] += d
-        sim[:, :n] -= d[:, None]
-        simid = simi @ d
-        sum_simi = simi.sum(axis=0)
-        simi += np.outer(simid, sum_simi / (1 - sum(simid)))
+        pole += d
+        edges -= d[:, None]
+        simi += simid[:, None] * (simi.sum(axis=0) / (1 - sum(simid)))
     simi, ok = _checked_inverse(sim, simi, eye)
     fval[jdrop] = f
     # with no constraints the merit is f, and PRIMA keeps the pole on ties,
     # where its updatepole only repeats the check of simi above
-    if ok and fval.min() < fval[n]:
-        jopt = fval.argmin()
-        sim[:, n] += sim[:, jopt]
-        sim_jopt = sim[:, jopt].copy()
-        sim[:, jopt] = 0
-        sim[:, :n] -= sim_jopt[:, None]
+    if ok and min(fval) < fval[n]:
+        jopt = fval.index(min(fval))
+        sim_jopt = edges[:, jopt].copy()
+        pole += sim_jopt
+        edges[:, jopt] = 0
+        edges -= sim_jopt[:, None]
         simi[jopt, :] = -simi.sum(axis=0)
         simi, ok = _checked_inverse(sim, simi, eye)
-        fval[[jopt, n]] = fval[[n, jopt]]
+        fval[jopt], fval[n] = fval[n], fval[jopt]
     return simi, ok
 
 
@@ -469,10 +496,10 @@ def _checked_inverse(sim, simi, eye):
     accurate and simi is off by more than 0.1; ok is False when the error
     of the better one exceeds 1."""
     n = sim.shape[0]
-    erri = abs(simi @ sim[:, :n] - eye).max()
-    if erri > 0.1 or np.isnan(erri):
+    erri = float(abs(simi @ sim[:, :n] - eye).max())
+    if erri > 0.1 or math.isnan(erri):
         simi_test = np.linalg.inv(sim[:, :n])
-        erri_test = abs(simi_test @ sim[:, :n] - eye).max()
-        if erri_test < erri or (np.isnan(erri) and not np.isnan(erri_test)):
+        erri_test = float(abs(simi_test @ sim[:, :n] - eye).max())
+        if erri_test < erri or (math.isnan(erri) and not math.isnan(erri_test)):
             simi, erri = simi_test, erri_test
     return simi, erri <= 1

@@ -8,6 +8,8 @@ an explicit Box-Muller transform on the uniform stream, which keeps the
 variate recipe documented rather than tied to numpy's ziggurat tables.
 """
 
+import math
+
 import numpy as np
 
 # Stream ids.  Each consumer of randomness owns one id so streams never
@@ -19,6 +21,10 @@ STREAM_BAYESOPT = 5
 STREAM_INSTANCE_SEEDS = 10
 STREAM_ANTENNA_CHOICE = 11
 STREAM_RANDOM_INIT = 12
+
+# The largest |variate| standard_normals draws: its uniforms are multiples of
+# 2^-53 below 1, so the Box-Muller radius is at most sqrt(-2 ln 2^-53) = 8.57.
+MAX_ABS_NORMAL = math.sqrt(-2.0 * math.log(2.0**-53))
 
 
 def substream(seed, stream):

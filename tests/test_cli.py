@@ -14,6 +14,7 @@ from qaoa_mimo import cli
 from qaoa_mimo.instances import (
     ChannelInstance,
     brute_force_detect,
+    generate_instance,
     read_instances,
     write_instances,
 )
@@ -157,6 +158,28 @@ class TestGenInstances:
         monkeypatch.setattr(cli, "MAX_GENERATED_VALUES", total)
         assert cli.main(["gen-instances", "--config", config, "--out", str(out)]) == 0
 
+    def test_overflowing_noise_scale_is_config_error(self, tmp_path, capsys):
+        # |z| <= 8.57 in standard_normals, so ||y||^2 stays finite up to a scale
+        # near 5.5e152 for n_t = n_r = 2, and 1e200 can overflow it
+        out = tmp_path / "x.jsonl"
+        config = write_config(tmp_path, "gen.json", count=2, n_t=2, noise_scale=1e200, seed=1)
+        assert cli.main(["gen-instances", "--config", config, "--out", str(out)]) == 1
+        assert "noise_scale 1e+200 exceeds 5.53028e+152" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_large_safe_noise_scale_runs_detect(self, tmp_path):
+        instances, init = tmp_path / "inst.jsonl", tmp_path / "init.json"
+        gen = write_config(tmp_path, "gen.json", count=2, n_t=2, noise_scale=1e100, seed=1)
+        assert cli.main(["gen-instances", "--config", gen, "--out", str(instances)]) == 0
+        init.write_text(json.dumps({"p": 1, "gammas": [0.1], "betas": [0.2], "training_meta": {}}))
+        config = write_config(
+            tmp_path, "run.json", instances=str(instances), init=str(init), p=1, seed=1, budget=5
+        )
+        out = tmp_path / "out.jsonl"
+        assert cli.main(["detect", "--config", config, "--out", str(out)]) == 0
+        rows = read_jsonl(out)
+        assert len(rows) == 2 and not any("error" in row for row in rows)
+
     def test_integral_float_values_accepted(self, tmp_path):
         out = tmp_path / "x.jsonl"
         config = write_config(tmp_path, "gen.json", count=2.0, n_t=[2.0, 3], seed=1)
@@ -288,10 +311,10 @@ def test_overflowing_phase_prints_no_numpy_warning(tmp_path, mode, fields, code)
     ids=["train-init", "detect", "compare"],
 )
 def test_overflowing_instance_energies_are_refused(tmp_path, mode, fields, code):
-    # finite records whose ||y||^2, and so the Ising offset, overflows float64
+    # finite records whose ||y||^2, and so the Ising offset, overflows float64;
+    # gen-instances refuses such a noise scale, so they are written directly
     instances, init = tmp_path / "inst.jsonl", tmp_path / "init.json"
-    gen = write_config(tmp_path, "gen.json", count=2, n_t=2, noise_scale=1e200, seed=1)
-    assert cli.main(["gen-instances", "--config", gen, "--out", str(instances)]) == 0
+    write_instances(instances, [generate_instance(2, 2, 1e200, seed) for seed in (1, 2)])
     init.write_text(json.dumps({"p": 1, "gammas": [0.1], "betas": [0.2], "training_meta": {}}))
     config = write_config(
         tmp_path, "run.json", instances=str(instances), init=str(init), p=1, seed=1, **fields

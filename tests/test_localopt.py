@@ -1,3 +1,5 @@
+import importlib
+import math
 import warnings
 from collections import Counter
 
@@ -329,3 +331,148 @@ class TestMatchesScipy:
             minimize(smooth(d), np.zeros(d), budget=600, tol=1e-4)
         assert counts["rho"] > 0
         assert counts["update"] > counts["trust-region"] > 0  # the rest are geometry steps
+
+
+def magnitudes(high=1e300):
+    """Floats of either sign up to high in magnitude, signed zeros and
+    subnormals among them."""
+    return st.floats(-high, high)
+
+
+def positive_magnitudes(high=1e300):
+    return st.floats(5e-324, high)
+
+
+def arrays(shape):
+    size = int(np.prod(shape))
+    return st.lists(magnitudes(), min_size=size, max_size=size).map(
+        lambda v: np.array(v).reshape(shape)
+    )
+
+
+def pyprima(module):
+    """A module of scipy's private PRIMA port, imported where a test uses it,
+    so that a scipy without it fails those tests alone."""
+    return importlib.import_module(f"scipy._lib.pyprima.{module}")
+
+
+def assert_same_bits(ours, ref):
+    """Equal values with equal sign bits (== cannot tell -0.0 from 0.0)."""
+    ours, ref = np.asarray(ours, dtype=np.float64), np.asarray(ref, dtype=np.float64)
+    assert ours.shape == ref.shape and ours.tobytes() == ref.tobytes(), (ours, ref)
+
+
+class TestHelpersMatchScipy:
+    """Each ported helper gives the bits of scipy 1.17.1's own PRIMA helper, on
+    magnitudes from 1e-300 to 1e300, signed zeros, subnormals and d = 1..8.
+    Overflow warnings are the helpers' business, not the comparison's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=st.integers(1, 8).flatmap(lambda n: arrays((n,))), delta=positive_magnitudes())
+    def test_trstlp(self, g, delta):
+        with np.errstate(all="ignore"):
+            trstlp = pyprima("cobyla.trustregion").trstlp
+            ref = trstlp(np.zeros((g.size, 0)), np.zeros(0), delta, g.copy())
+            assert_same_bits(localopt._trstlp(delta, g), ref)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_trstlp_on_generic_gradients(self, n):
+        # hypothesis favours simple floats, whose hypots and norms round alike
+        # in every implementation; generic ones tell libm's hypot from others
+        gen = np.random.default_rng(n)
+        trstlp = pyprima("cobyla.trustregion").trstlp
+        for spread in [3] * 200 + [300] * 50:
+            g = gen.normal(size=n) * 10.0 ** gen.integers(-spread, spread, n)
+            g[gen.random(n) < 0.1] = 0.0
+            delta = 10.0 ** gen.uniform(-8, 1)
+            ref = trstlp(np.zeros((n, 0)), np.zeros(0), delta, g.copy())
+            assert_same_bits(localopt._trstlp(delta, g), ref)
+
+    @settings(max_examples=300, deadline=None)
+    @given(x0=magnitudes(), x1=magnitudes().filter(lambda v: v != 0))
+    def test_planerot(self, x0, x1):
+        rotation = pyprima("common.linalg").planerot(np.array([x0, x1]))
+        assert_same_bits(localopt._planerot(x0, x1, np.empty(2)), rotation[0])
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 8),
+        ximproved=st.booleans(),
+        rho=positive_magnitudes(),
+        stretch=st.floats(1.0, 1e3),
+    )
+    def test_setdrop_tr(self, data, n, ximproved, rho, stretch):
+        sim, simi, d = data.draw(arrays((n, n + 1))), data.draw(arrays((n, n))), data.draw(arrays((n,)))
+        delta = rho * stretch  # COBYLA keeps delta >= rho
+        with np.errstate(all="ignore"):
+            setdrop_tr = pyprima("cobyla.geometry").setdrop_tr
+            ref = setdrop_tr(ximproved, d.copy(), delta, rho, sim.copy(), simi.copy())
+            colsq = (sim[:, :n] * sim[:, :n]).sum(axis=0).tolist()
+            ours = localopt._setdrop_tr(ximproved, d, delta, rho, sim, simi @ d, colsq)
+        assert ours == ref
+
+    @settings(max_examples=200, deadline=None)
+    @given(dnorm=positive_magnitudes(), stretch=st.floats(1.0, 1e3), ratio=magnitudes())
+    def test_trrad(self, dnorm, stretch, ratio):
+        delta = dnorm * stretch  # the step is at most delta long
+        ref = pyprima("cobyla.trustregion").trrad(
+            delta, dnorm, localopt._ETA1, localopt._ETA2, localopt._GAMMA1, localopt._GAMMA2, ratio
+        )
+        assert_same_bits(localopt._trrad(delta, dnorm, ratio), ref)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rhoend=positive_magnitudes(1.0), factor=st.floats(1.0, 1e6, exclude_min=True))
+    def test_redrho(self, rhoend, factor):
+        rho = rhoend * factor
+        if rho > rhoend:  # redrho's precondition
+            ref = pyprima("common.redrho").redrho(rho, rhoend)
+            assert_same_bits(localopt._redrho(rho, rhoend), ref)
+
+    def test_hypot_of_a_complex_is_numpys(self):
+        # _trstlp's abs(complex(a, b)) stands for np.hypot; both are libm's hypot
+        gen = np.random.default_rng(0)
+        a = gen.normal(size=100_000) * 10.0 ** gen.uniform(-320, 12, 100_000)
+        b = gen.normal(size=100_000) * 10.0 ** gen.uniform(-320, 12, 100_000)
+        assert [abs(complex(x, y)) for x, y in zip(a.tolist(), b.tolist())] == np.hypot(a, b).tolist()
+
+
+def signed_zeros(x):
+    """A bowl whose floor, a disc about (0.5, 0.5), is -0.0 below the diagonal
+    x[1] = x[0] and 0.0 on and above it."""
+    r = (x[0] - 0.5) ** 2 + (x[1] - 0.5) ** 2
+    return float(r) if r > 0.04 else math.copysign(0.0, x[1] - x[0])
+
+
+class TestSignedZerosAndBoxEdges:
+    """== cannot tell -0.0 from 0.0, so these compare the bytes of every
+    recorded point and value with scipy's."""
+
+    @pytest.mark.parametrize(
+        "x0, bounds",
+        [
+            ([0.1, 0.9], None),
+            ([0.5, 0.5], [[0.0, 1.0], [0.0, 1.0]]),  # the first steps end on the upper edges
+            ([0.0, 1.0], [[0.0, 1.0], [0.0, 1.0]]),  # a start in a corner
+            ([0.5, 0.45], [[0.5, 0.5], [0.0, 1.0]]),  # a pinned axis
+        ],
+        ids=["unbounded", "edges", "corner", "pinned"],
+    )
+    def test_bytes_match_scipy(self, x0, bounds):
+        box = None if bounds is None else np.array(bounds)
+        trace = minimize(signed_zeros, x0, bounds=box, budget=80, tol=1e-4)
+        evaluations, converged, reason = reference_minimize(signed_zeros, x0, box, 80, 1e-4)
+        assert len(trace.evaluations) == len(evaluations)
+        for (x, value), (x_ref, value_ref) in zip(trace.evaluations, evaluations):
+            assert x.tobytes() == x_ref.tobytes()
+            assert np.signbit(value) == np.signbit(value_ref)
+            assert np.float64(value).tobytes() == np.float64(value_ref).tobytes()
+        assert (trace.converged, trace.reason) == (converged, reason)
+        values = [value for _, value in trace.evaluations]
+        assert 0.0 in values  # the floor is reached
+        if box is None:  # and its sign is recorded
+            assert any(np.signbit(v) for v in values if v == 0.0)
+        else:  # a point inside the box gains a 0.0 penalty, so no -0.0 is left
+            assert any(np.signbit(signed_zeros(x)) for x, _ in trace.evaluations)
+            assert not any(np.signbit(v) for v in values)
+            assert any(((x == box[:, 0]) | (x == box[:, 1])).any() for x, _ in trace.evaluations)
