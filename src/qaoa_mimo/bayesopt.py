@@ -1,8 +1,8 @@
 """Gaussian-process surrogate with UCB acquisition and the sequential loop.
 
-The surrogate is a zero-mean GP with an isotropic squared-exponential
-kernel and fixed hyperparameters; the loop minimizes, proposing each point
-by maximizing mean + kappa * std of a GP of the negated values over the box.
+The surrogate is a zero-mean GP with a fixed isotropic squared-exponential
+kernel of unit prior variance; the loop minimizes over the box mapped to
+[0, 1]^d, each point maximizing mean + kappa * std of a GP of the negated values.
 Everything is deterministic in the caller's seed: quasi-random initial design,
 multi-start pattern search for the acquisition, and the Philox
 substreams behind both.  The design is Owen's scrambled Halton (Owen 2017),
@@ -30,13 +30,12 @@ ACQUISITION_STARTS = 8
 
 @dataclass(frozen=True)
 class SquaredExponentialKernel:
-    """k(x, x') = signal_variance * exp(-||x - x'||^2 / (2 length_scale^2)).
+    """k(x, x') = exp(-||x - x'||^2 / (2 length_scale^2)), of unit prior variance.
 
-    Defaults assume coordinates normalized to the unit box, which is how
-    ``bayes_opt`` calls the GP internally.
+    The scales suit what ``bayes_opt`` hands the GP: points in the unit box
+    and values of zero mean and unit spread.
     """
 
-    signal_variance: float = 1.0
     length_scale: float = 0.5
     noise_variance: float = 1e-6
 
@@ -56,7 +55,6 @@ class SquaredExponentialKernel:
         sq *= -0.5
         sq /= self.length_scale**2
         np.exp(sq, out=sq)
-        sq *= self.signal_variance
         return sq
 
 
@@ -128,7 +126,7 @@ def gp_predict(post, x):
     mean = post._alpha @ kstar
     v = post._linv @ kstar
     v *= v
-    variance = post.kernel.signal_variance - np.add.reduce(v, axis=0)  # np.sum's bits
+    variance = 1.0 - np.add.reduce(v, axis=0)  # np.sum's bits
     if (variance < -1e-10).any():
         raise np.linalg.LinAlgError(
             f"negative predictive variance {variance.min()}; factorization is unusable"
@@ -136,37 +134,31 @@ def gp_predict(post, x):
     return mean, np.maximum(variance, 0.0, out=variance)
 
 
-def _compass_search(score, starts, low, high, max_evals):
+def _compass_search(score, starts, max_evals):
     """Compass search maximizing ``score`` (rows of (m, d) -> (m,)) from each start.
 
-    Per axis, a start tries +step then -step and keeps a strict improvement;
-    a sweep without one halves its step.  It stops at exactly ``max_evals``
-    evaluations or at a step of 1e-3 span.  A move clipped to no change costs
-    none.  All starts advance together, one ``score`` call per move on the
-    rows of the starts it moves, in start order.  The points stay one (m, d)
-    array, whose rows each batch takes with one ``take``; each start's step,
-    best value and count are Python floats and ints.
+    Per axis, a start tries +step then -step, clipped to [0, 1], and keeps a
+    strict improvement; a sweep without one halves its step, from 0.25.  It
+    stops at exactly ``max_evals`` evaluations or at a step of 1e-3.  A move
+    clipped to no change costs none.  All starts advance together, one
+    ``score`` call per move on the rows of the starts it moves, in start
+    order.  The points stay one (m, d) array, whose rows each batch takes with
+    one ``take``; each start's step, best value and count are Python numbers.
     """
-    low, high = low.tolist(), high.tolist()
-    span = [b - a for a, b in zip(low, high)]
-    floor = [1e-3 * s for s in span]
-    axes = [axis for axis, s in enumerate(span) if s]
     x = starts.copy()
     best = score(x).tolist()
-    step = [[0.25 * s for s in span] for _ in best]
+    step = [0.25] * len(best)
     evals = [1] * len(best)
     live = list(range(len(best))) if max_evals > 1 else []
     while live:
         improved = set()
-        for axis in axes:
-            lo, hi = low[axis], high[axis]
+        for axis in range(x.shape[1]):
             for sign in (1.0, -1.0):
                 now = x[:, axis].tolist()
                 moving, cands = [], []
                 for i in live:
-                    cand = now[i] + sign * step[i][axis]
-                    # np.clip's comparisons: a tie keeps cand, and with it its zero's sign
-                    cand = lo if cand < lo else hi if cand > hi else cand
+                    cand = now[i] + sign * step[i]
+                    cand = 0.0 if cand < 0.0 else 1.0 if cand > 1.0 else cand
                     if cand != now[i]:
                         moving.append(i)
                         cands.append(cand)
@@ -181,35 +173,27 @@ def _compass_search(score, starts, low, high, max_evals):
                         improved.add(i)
                 live = [i for i in live if evals[i] < max_evals]
         for i in [i for i in live if i not in improved]:
-            step[i] = [s * 0.5 for s in step[i]]
-            if all(s <= f for s, f in zip(step[i], floor)):
+            step[i] *= 0.5
+            if step[i] <= 1e-3:
                 live.remove(i)
     return x, np.array(best)
 
 
-def maximize_acquisition(post, bounds, kappa, seed):
-    """Approximate argmax of the UCB acquisition mean + kappa * std over a box:
+def maximize_acquisition(post, kappa, seed):
+    """Approximate argmax over [0, 1]^d of the UCB acquisition mean + kappa * std:
     the first best endpoint of compass searches from ``ACQUISITION_STARTS``
-    uniform seeds and every training point.  Deterministic in ``seed``.
+    uniform seeds and every training point, which ``bayes_opt`` keeps in the
+    unit box.  Deterministic in ``seed``.
     """
-    _check_kappa(kappa)
-    bounds = check_box(bounds, post.points.shape[1])
-    low, high = bounds[:, 0], bounds[:, 1]
 
     def score(x):
         mean, variance = gp_predict(post, x)
         return mean + kappa * np.sqrt(variance)
 
-    gen = substream(seed, STREAM_BAYESOPT)
-    starts = low + gen.random((ACQUISITION_STARTS, low.size)) * (high - low)
-    anchors = np.clip(post.points, low, high)
-    x, best = _compass_search(score, np.vstack([starts, anchors]), low, high, 200 * low.size)
+    d = post.points.shape[1]
+    starts = substream(seed, STREAM_BAYESOPT).random((ACQUISITION_STARTS, d))
+    x, best = _compass_search(score, np.vstack([starts, post.points]), 200 * d)
     return x[np.argmax(best)]
-
-
-def _check_kappa(kappa):
-    if not kappa >= 0:  # NaN included
-        raise ValueError(f"kappa must be >= 0, got {kappa}")
 
 
 def bayes_opt(objective, bounds, t_rounds, kappa=2.0, n_init=5, seed=0, kernel=None):
@@ -226,14 +210,13 @@ def bayes_opt(objective, bounds, t_rounds, kappa=2.0, n_init=5, seed=0, kernel=N
     """
     check_count("t_rounds", t_rounds)
     check_count("n_init", n_init)
-    _check_kappa(kappa)
+    if not kappa >= 0:  # NaN included
+        raise ValueError(f"kappa must be >= 0, got {kappa}")
     bounds = check_box(bounds)
-    kernel = kernel if kernel is not None else SquaredExponentialKernel()
     low, span = bounds[:, 0], bounds[:, 1] - bounds[:, 0]
-    d = low.size
 
     gen = substream(seed, STREAM_BAYESOPT)
-    halton = _ScrambledHalton(d, seed=int(gen.integers(2**63)))
+    halton = _ScrambledHalton(low.size, seed=int(gen.integers(2**63)))
     unit_points = [z for z in halton.random(n_init)]
     evaluations = []
 
@@ -244,7 +227,6 @@ def bayes_opt(objective, bounds, t_rounds, kappa=2.0, n_init=5, seed=0, kernel=N
     for z in unit_points:
         evaluate(z)
 
-    unit_box = np.column_stack([np.zeros(d), np.ones(d)])
     for _ in range(t_rounds):
         zs = np.array(unit_points)
         ys = -np.array([v for _, v in evaluations])  # the acquisition maximizes
@@ -252,7 +234,7 @@ def bayes_opt(objective, bounds, t_rounds, kappa=2.0, n_init=5, seed=0, kernel=N
         z_next = None
         if scale > 1e-12:
             post = gp_fit(zs, (ys - ys.mean()) / scale, kernel)
-            z_next = maximize_acquisition(post, unit_box, kappa, seed=int(gen.integers(2**63)))
+            z_next = maximize_acquisition(post, kappa, seed=int(gen.integers(2**63)))
             if np.min(np.linalg.norm(zs - z_next, axis=1)) < 1e-8:
                 z_next = None  # re-proposing a measured point carries no information
         if z_next is None:

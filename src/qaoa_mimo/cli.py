@@ -468,7 +468,7 @@ def gp_predictions(gen, size):
         kstar = kernel.matrix(points, x[None, :])[:, 0]
         (mean,), (variance,) = gp_predict(post, x)
         worst_formula = max(worst_formula, abs(mean - float(kstar @ inv @ values)),
-                            abs(variance - float(kernel.signal_variance - kstar @ inv @ kstar)))
+                            abs(variance - float(1.0 - kstar @ inv @ kstar)))
     points, values = gen.random((5, 2)), gen.normal(size=5)
     post = gp_fit(points, values, SquaredExponentialKernel(noise_variance=1e-10))
     worst_interp = float(np.max(np.abs(gp_predict(post, points)[0] - values)))

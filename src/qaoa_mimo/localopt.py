@@ -136,11 +136,15 @@ def initial_radius(bounds=None):
     return min(0.5, 0.5 * span) if span > 0 else 0.5
 
 
+# The smallest tol: below about 2e-157 the port's products overflow float64.
+MIN_TOL = 1e-150
+
+
 def check_tol(tol, bounds=None):
-    """Raise ValueError unless ``tol`` lies in (0, initial_radius(bounds)]."""
+    """Raise ValueError unless ``tol`` lies in [MIN_TOL, initial_radius(bounds)]."""
     radius = initial_radius(bounds)
-    if not 0 < tol <= radius:
-        raise ValueError(f"'tol' must be in (0, {radius}], got {tol}")
+    if not MIN_TOL <= tol <= radius:
+        raise ValueError(f"'tol' must be in [{MIN_TOL}, {radius}], got {tol}")
 
 
 def minimize(objective, x0, bounds=None, budget=150, tol=1e-6):
@@ -150,7 +154,7 @@ def minimize(objective, x0, bounds=None, budget=150, tol=1e-6):
     the run aborts and ObjectiveEvaluationError carries the partial trace.
     Raises ValueError for an x0 that is empty, not 1-D or not finite, bounds
     that fail ``check_box``, a budget that is not an integer >= 1 and a tol
-    outside (0, initial_radius(bounds)].
+    outside [MIN_TOL, initial_radius(bounds)].
     """
     x0 = np.array(x0, dtype=np.float64)
     if x0.ndim != 1 or x0.size == 0:

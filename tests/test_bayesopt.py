@@ -30,7 +30,7 @@ def direct_prediction(points, values, kernel, x):
     kstar = kernel.matrix(points, np.atleast_2d(x))[:, 0]
     inv = np.linalg.inv(k_matrix)
     mean = kstar @ inv @ values
-    variance = kernel.signal_variance - kstar @ inv @ kstar
+    variance = 1.0 - kstar @ inv @ kstar
     return float(mean), float(variance)
 
 
@@ -39,22 +39,18 @@ def acquisition_value(post, x, kappa):
     return mean + kappa * np.sqrt(variance)
 
 
-def reference_compass_search(score, start, low, high, max_evals):
-    """The one-start-at-a-time search the batched one must reproduce exactly."""
-    span = high - low
-    step = 0.25 * span
-    floor = 1e-3 * span
+def reference_compass_search(score, start, max_evals):
+    """The one-start-at-a-time search of the unit box the batched one must reproduce exactly."""
+    step = 0.25
     x = start.copy()
     best = score(x)
     evals = 1
     while evals < max_evals:
         improved = False
         for axis in range(x.size):
-            if span[axis] == 0.0:
-                continue
-            for delta in (step[axis], -step[axis]):
+            for delta in (step, -step):
                 cand = x.copy()
-                cand[axis] = min(max(x[axis] + delta, low[axis]), high[axis])
+                cand[axis] = min(max(x[axis] + delta, 0.0), 1.0)
                 if cand[axis] == x[axis]:
                     continue
                 value = score(cand)
@@ -66,14 +62,14 @@ def reference_compass_search(score, start, low, high, max_evals):
                     return x, best, evals
         if not improved:
             step = step * 0.5
-            if np.all(step <= floor):
+            if step <= 1e-3:
                 break
     return x, best, evals
 
 
-def reference_multistart(score, starts, low, high, max_evals):
+def reference_multistart(score, starts, max_evals):
     """Per-start loop: every endpoint, the total evaluations and the strict-> winner."""
-    runs = [reference_compass_search(score, s, low, high, max_evals) for s in starts]
+    runs = [reference_compass_search(score, s, max_evals) for s in starts]
     best_x, best_val = None, -np.inf
     for x, value, _ in runs:
         if value > best_val:
@@ -81,21 +77,19 @@ def reference_multistart(score, starts, low, high, max_evals):
     return runs, best_x
 
 
-def lockstep_compass_search(score, starts, low, high, max_evals):
-    """The all-numpy lockstep search that _compass_search replaced, frozen: the
-    sequence of batches it hands ``score`` is what the GP's bits depend on."""
-    span = high - low
-    floor = 1e-3 * span
+def lockstep_compass_search(score, starts, max_evals):
+    """The all-numpy lockstep search of the unit box that _compass_search replaced,
+    frozen: the sequence of batches it hands ``score`` is what the GP's bits depend on."""
     x = starts.copy()
     best = score(x)
-    step = np.tile(0.25 * span, (len(x), 1))
+    step = np.full(len(x), 0.25)
     evals = np.ones(len(x), dtype=np.int64)
     live = evals < max_evals
     while live.any():
         improved = np.zeros(len(x), dtype=bool)
-        for axis in np.flatnonzero(span):
+        for axis in range(x.shape[1]):
             for sign in (1.0, -1.0):
-                cand = np.clip(x[:, axis] + sign * step[:, axis], low[axis], high[axis])
+                cand = np.clip(x[:, axis] + sign * step, 0.0, 1.0)
                 moving = np.flatnonzero(live & (cand != x[:, axis]))
                 if moving.size == 0:
                     continue
@@ -109,7 +103,7 @@ def lockstep_compass_search(score, starts, low, high, max_evals):
                 live &= evals < max_evals
         halving = live & ~improved
         step[halving] *= 0.5
-        live &= ~(halving & np.all(step <= floor, axis=1))
+        live &= ~(halving & (step <= 1e-3))
     return x, best
 
 
@@ -121,10 +115,10 @@ def per_axis_predict(post, x):
     diff = post.points[:, None, :] - x[None, :, :]
     diff *= diff
     sq = np.add.accumulate(diff, axis=2)[:, :, -1]
-    kstar = kernel.signal_variance * np.exp(-0.5 * sq / kernel.length_scale**2)
+    kstar = np.exp(-0.5 * sq / kernel.length_scale**2)
     mean = post._alpha @ kstar
     v = post._linv @ kstar
-    return mean, np.maximum(kernel.signal_variance - np.sum(v * v, axis=0), 0.0)
+    return mean, np.maximum(1.0 - np.sum(v * v, axis=0), 0.0)
 
 
 def rowwise_score(x, plateau=False):
@@ -149,7 +143,7 @@ class TestGpFit:
         post = gp_fit([[0.0], [0.2]], [3.0, -1.0], kernel)
         (mean,), (variance,) = gp_predict(post, [100.0 * kernel.length_scale])
         assert mean == pytest.approx(0.0, abs=1e-6)
-        assert variance == pytest.approx(kernel.signal_variance, abs=1e-6)
+        assert variance == pytest.approx(1.0, abs=1e-6)
 
     def test_two_point_hand_inverse(self):
         kernel = SquaredExponentialKernel(noise_variance=1e-6)
@@ -157,22 +151,18 @@ class TestGpFit:
         values = np.array([1.0, -0.5])
         post = gp_fit(points, values, kernel)
         # explicit 2x2 inversion
-        k01 = kernel.signal_variance * np.exp(-0.5 * 0.6**2 / kernel.length_scale**2)
-        a = d = kernel.signal_variance + kernel.noise_variance
+        k01 = np.exp(-0.5 * 0.6**2 / kernel.length_scale**2)
+        a = d = 1.0 + kernel.noise_variance
         det = a * d - k01 * k01
         inv = np.array([[d, -k01], [-k01, a]]) / det
         queries = [[0.3], [0.55], [0.9]]
         means, variances = gp_predict(post, queries)
         for x, mean, variance in zip(queries, means, variances):
             kstar = np.array(
-                [
-                    kernel.signal_variance
-                    * np.exp(-0.5 * (x[0] - p[0]) ** 2 / kernel.length_scale**2)
-                    for p in points
-                ]
+                [np.exp(-0.5 * (x[0] - p[0]) ** 2 / kernel.length_scale**2) for p in points]
             )
             mean_ref = kstar @ inv @ values
-            var_ref = kernel.signal_variance - kstar @ inv @ kstar
+            var_ref = 1.0 - kstar @ inv @ kstar
             assert mean == pytest.approx(mean_ref, abs=1e-10)
             assert variance == pytest.approx(var_ref, abs=1e-10)
 
@@ -213,8 +203,7 @@ class TestGpFit:
             args = (broken, values) if where is points else (points, broken)
             with pytest.raises(ValueError, match="finite"):
                 gp_fit(*args)
-        for kernel in (SquaredExponentialKernel(signal_variance=bad),
-                       SquaredExponentialKernel(length_scale=0.0),
+        for kernel in (SquaredExponentialKernel(length_scale=0.0),
                        SquaredExponentialKernel(noise_variance=bad)):
             with pytest.raises(ValueError, match="finite"), np.errstate(all="ignore"):
                 gp_fit(points, values, kernel)
@@ -226,13 +215,17 @@ class TestGpFit:
     def test_non_pd_kernel_raises_at_max_jitter(self, monkeypatch):
         cholesky, tried = np.linalg.cholesky, []
 
+        class NegatedKernel(SquaredExponentialKernel):
+            def matrix(self, xa, xb):
+                return -super().matrix(xa, xb)
+
         def recording(matrix):
-            tried.append(matrix[0, 0] + 1.0)  # signal variance -1 plus the jitter
+            tried.append(matrix[0, 0] + 1.0)  # diagonal -1 plus the jitter
             return cholesky(matrix)
 
         monkeypatch.setattr(np.linalg, "cholesky", recording)
         with pytest.raises(np.linalg.LinAlgError):
-            gp_fit([[0.1], [0.6]], [1.0, 2.0], SquaredExponentialKernel(signal_variance=-1.0))
+            gp_fit([[0.1], [0.6]], [1.0, 2.0], NegatedKernel())
         np.testing.assert_allclose(tried, [1e-6, 1e-5, 1e-4, 1e-3, MAX_JITTER], rtol=1e-9)
 
 
@@ -303,9 +296,7 @@ class TestGpPredict:
         gen = np.random.default_rng(100 + d)
         for m, q in [(1, 1), (30, 40), (30, 1), (1, 40)] + [
                 tuple(gen.integers(1, [31, 41])) for _ in range(30)]:
-            kernel = SquaredExponentialKernel(
-                signal_variance=float(gen.uniform(0.5, 2.0)),
-                length_scale=float(gen.uniform(0.1, 0.6)))
+            kernel = SquaredExponentialKernel(length_scale=float(gen.uniform(0.1, 0.6)))
             post = gp_fit(gen.random((m, d)), gen.normal(size=m), kernel)
             queries = np.vstack([gen.random((q, d)), post.points[:2]])
             for got, want in zip(gp_predict(post, queries), per_axis_predict(post, queries)):
@@ -350,7 +341,7 @@ class TestScipyReference:
             k_matrix = kernel.matrix(points, points) + post.noise_variance * np.eye(m)
             factor, kstar = cho_factor(k_matrix, lower=True), kernel.matrix(points, queries)
             mean_ref = cho_solve(factor, values) @ kstar
-            var_ref = kernel.signal_variance - np.sum(kstar * cho_solve(factor, kstar), axis=0)
+            var_ref = 1.0 - np.sum(kstar * cho_solve(factor, kstar), axis=0)
             mean, variance = gp_predict(post, queries)
             atol = max(1e-12, 1e-14 * np.linalg.cond(k_matrix))
             np.testing.assert_allclose(mean, mean_ref, rtol=0, atol=atol)
@@ -362,36 +353,25 @@ class TestCompassSearch:
     @pytest.mark.parametrize("max_evals", [1, 2, 5, 13, 200 * 3])
     def test_matches_per_start_search(self, max_evals, plateau):
         gen = np.random.default_rng(7)
-        low, high = np.array([0.0, -1.0, 2.0]), np.array([1.0, 0.5, 2.0])  # axis 2 has zero span
-        starts = low + gen.random((9, 3)) * (high - low)
-        starts[0] = low  # on the boundary: the clipped -step moves cost nothing
-        starts[1] = high
-        starts[2, 0] = high[0]
-        self.assert_matches(lambda x: rowwise_score(x, plateau), starts, low, high, max_evals)
+        starts = gen.random((9, 3))
+        starts[0] = 0.0  # on the boundary: the clipped -step moves cost nothing
+        starts[1] = 1.0
+        starts[2, 0] = 1.0
+        self.assert_matches(lambda x: rowwise_score(x, plateau), starts, max_evals)
 
     def test_all_starts_on_one_plateau(self):
-        low, high = np.zeros(2), np.ones(2)
         starts = np.array([[0.1, 0.1], [0.2, 0.2], [0.9, 0.9], [0.1, 0.1]])
-        self.assert_matches(lambda x: np.zeros(len(x)), starts, low, high, 400)
-
-    @pytest.mark.parametrize("max_evals", [2, 7, 600])
-    def test_tie_with_negative_zero_bound(self, max_evals):
-        # from 0.25, the -step move lands on 0.0, a tie with the -0.0 bound that
-        # np.clip resolves to +0.0; 7 evaluations end in the second sweep
-        low, high = np.array([-0.0, -1.0]), np.array([1.0, 0.5])
-        starts = np.array([[0.25, 0.0], [0.5, -0.5], [0.0, 0.5], [1.0, -1.0]])
-        self.assert_matches(rowwise_score, starts, low, high, max_evals)
+        self.assert_matches(lambda x: np.zeros(len(x)), starts, 400)
 
     def test_same_score_calls_in_acquisition_search(self):
         # no per-start reference here: a GP row's bits depend on its batch
         gen = np.random.default_rng(12)
         post = gp_fit(gen.random((15, 6)), gen.normal(size=15))
-        low, high = np.zeros(6), np.ones(6)
         starts = np.vstack([gen.random((8, 6)), post.points])
-        self.assert_same_calls(lambda x: acquisition_value(post, x, 2.0), starts, low, high, 1200)
+        self.assert_same_calls(lambda x: acquisition_value(post, x, 2.0), starts, 1200)
 
     @staticmethod
-    def assert_same_calls(score, starts, low, high, max_evals):
+    def assert_same_calls(score, starts, max_evals):
         """The same score batches (shape and row bytes, in order) and the same
         result bytes as the frozen lockstep search."""
         def run(search):
@@ -401,29 +381,29 @@ class TestCompassSearch:
                 calls.append((x.shape, x.tobytes()))
                 return score(x)
 
-            result = search(recording, starts.copy(), low, high, max_evals)
+            result = search(recording, starts.copy(), max_evals)
             return calls, [a.tobytes() for a in result]
 
         assert run(_compass_search) == run(lockstep_compass_search)
 
     @staticmethod
-    def assert_matches(score, starts, low, high, max_evals):
+    def assert_matches(score, starts, max_evals):
         scored = []
 
         def counting(x):
             scored.append(len(x))
             return score(x)
 
-        x, best = _compass_search(counting, starts, low, high, max_evals)
+        x, best = _compass_search(counting, starts, max_evals)
         runs, winner = reference_multistart(
-            lambda z: float(score(z[None, :])[0]), starts, low, high, max_evals
+            lambda z: float(score(z[None, :])[0]), starts, max_evals
         )
         for row, (ref_x, ref_best, _) in enumerate(runs):
             assert np.array_equal(x[row], ref_x)
             assert best[row] == ref_best
         assert sum(scored) == sum(evals for _, _, evals in runs)
         assert np.array_equal(x[np.argmax(best)], winner)
-        TestCompassSearch.assert_same_calls(score, starts, low, high, max_evals)
+        TestCompassSearch.assert_same_calls(score, starts, max_evals)
 
 
 class TestMaximizeAcquisition:
@@ -431,12 +411,12 @@ class TestMaximizeAcquisition:
         # one poor observation at the center: with a large kappa the
         # acquisition is variance-dominated away from it
         post = gp_fit([[0.5, 0.5]], [-1.0])
-        best = maximize_acquisition(post, UNIT_2D, kappa=5.0, seed=0)
+        best = maximize_acquisition(post, kappa=5.0, seed=0)
         assert np.linalg.norm(best - [0.5, 0.5]) >= 0.25
 
     def test_exploitation_limit_returns_to_high_point(self):
         post = gp_fit([[0.3, 0.7]], [1.0])
-        best = maximize_acquisition(post, UNIT_2D, kappa=0.0, seed=0)
+        best = maximize_acquisition(post, kappa=0.0, seed=0)
         assert np.linalg.norm(best - [0.3, 0.7]) <= 0.05
 
     def test_matches_dense_grid_argmax_in_1d(self):
@@ -444,31 +424,16 @@ class TestMaximizeAcquisition:
         post = gp_fit([[0.1], [0.45], [0.8]], [0.2, -0.7, 0.9], kernel)
         grid = np.linspace(0.0, 1.0, 2001)
         acq = acquisition_value(post, grid[:, None], 2.0)
-        best = maximize_acquisition(post, UNIT_1D, kappa=2.0, seed=1)
+        best = maximize_acquisition(post, kappa=2.0, seed=1)
         assert acquisition_value(post, best, 2.0)[0] >= acq.max() - 1e-6
 
     def test_result_within_bounds_and_deterministic(self):
         gen = np.random.default_rng(4)
         post = gp_fit(gen.random((6, 3)), gen.normal(size=6))
-        bounds = np.array([[0.0, 1.0], [-2.0, -1.0], [5.0, 5.5]])
-        a = maximize_acquisition(post, bounds, kappa=2.0, seed=7)
-        b = maximize_acquisition(post, bounds, kappa=2.0, seed=7)
+        a = maximize_acquisition(post, kappa=2.0, seed=7)
+        b = maximize_acquisition(post, kappa=2.0, seed=7)
         assert np.array_equal(a, b)
-        assert np.all(a >= bounds[:, 0]) and np.all(a <= bounds[:, 1])
-
-    def test_bounds_validation(self):
-        post = gp_fit([[0.5]], [0.0])
-        for bounds in BAD_BOUNDS_1D + [UNIT_2D]:
-            with pytest.raises(ValueError, match="bounds must") as err:
-                maximize_acquisition(post, bounds, kappa=1.0, seed=0)
-            assert "\n" not in str(err.value)
-        pinned = maximize_acquisition(post, np.array([[0.4, 0.4]]), kappa=1.0, seed=0)
-        assert pinned.tolist() == [0.4]
-
-    def test_rejects_negative_kappa(self):
-        post = gp_fit([[0.5]], [0.0])
-        with pytest.raises(ValueError, match="kappa"):
-            maximize_acquisition(post, UNIT_1D, kappa=-1.0, seed=0)
+        assert np.all(a >= 0.0) and np.all(a <= 1.0)
 
 
 class TestBayesOpt:

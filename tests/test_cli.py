@@ -236,6 +236,25 @@ def test_non_positive_tol_is_config_error(tmp_path, capsys, tol):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tol, code", [(1e-200, 1), (1e-150, 0)])
+def test_tol_is_refused_below_the_floor_and_runs_at_it(tmp_path, capsys, tol, code):
+    # at 1e-200 the COBYLA port overflows on these instances: each run was an error row
+    instances = tmp_path / "inst.jsonl"
+    gen = write_config(tmp_path, "gen.json", count=2, n_t=3, noise_scale=1.0, seed=4)
+    assert cli.main(["gen-instances", "--config", gen, "--out", str(instances)]) == 0
+    config = write_config(tmp_path, "d.json", instances=str(instances), p=1, seed=1,
+                          budget=2000, tol=tol)
+    out = tmp_path / "out.jsonl"
+    assert cli.main(["detect", "--config", config, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert "'tol' must be in [1e-150, 0.19634954084936207], got 1e-200" in err
+        assert err.count("\n") == 1 and not out.exists()
+    else:
+        rows = read_jsonl(out)
+        assert len(rows) == 2 and not any("error" in row for row in rows)
+
+
 def test_tol_above_initial_trust_radius_is_config_error(tmp_path, capsys):
     # the default phase window is [0, pi/8], so COBYLA starts at radius pi/16 ~ 0.196
     instances = tmp_path / "inst.jsonl"
@@ -244,7 +263,7 @@ def test_tol_above_initial_trust_radius_is_config_error(tmp_path, capsys):
     out = tmp_path / "out.jsonl"
     assert cli.main(["detect", "--config", config, "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "'tol' must be in (0, 0.19634954084936207]" in err
+    assert "'tol' must be in [1e-150, 0.19634954084936207]" in err
     assert not out.exists()
 
 

@@ -186,7 +186,7 @@ class TestMinimize:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             minimize(quadratic, [0.1, 1.0], bounds=box, budget=10, tol=radius)
-        with pytest.raises(ValueError, match=r"'tol' must be in \(0, 0.196"):
+        with pytest.raises(ValueError, match=r"'tol' must be in \[1e-150, 0.196"):
             minimize(quadratic, [0.1, 1.0], bounds=box, budget=10, tol=1.01 * radius)
 
     @settings(max_examples=25, deadline=None)
@@ -232,11 +232,22 @@ class TestMinimize:
             minimize(quadratic, np.ones(2), budget=budget)
         assert "\n" not in str(err.value)
 
-    @pytest.mark.parametrize("tol", [1.0, 0.0, -1.0, float("nan"), 0.5000001])
+    # below 1e-150 the port's products can overflow float64
+    @pytest.mark.parametrize("tol", [1.0, 0.0, -1.0, float("nan"), 0.5000001,
+                                     1e-200, 0.99e-150, 5e-324])
     def test_tol_outside_the_initial_radius_is_refused(self, tol):
-        with pytest.raises(ValueError, match=r"'tol' must be in \(0, 0.5\]") as err:
+        with pytest.raises(ValueError, match=r"'tol' must be in \[1e-150, 0.5\]") as err:
             minimize(quadratic, np.ones(2), budget=10, tol=tol)
         assert "\n" not in str(err.value)
+
+    @pytest.mark.parametrize("d", [2, 6, 16])
+    def test_tol_at_the_floor_runs_without_overflow(self, d):
+        # a tol of 1e-157 here overflows in the port's dot products
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = minimize(lambda x: float(np.sum((x - 0.3) ** 2)), np.zeros(d),
+                             budget=2000, tol=localopt.MIN_TOL)
+        assert trace.reason == "tolerance"
 
     @pytest.mark.parametrize("x0", [[], np.zeros((2, 2)), 0.5, [[0.5]]])
     def test_x0_must_be_a_non_empty_vector(self, x0):
