@@ -11,8 +11,9 @@ shortest round-trip repr, so reruns are byte-identical.
 
 ``detect`` and ``compare`` run their instances in parallel: one forked
 worker process per CPU in the process's affinity mask, at most one per
-instance, each task one instance with all its methods.  Rows are written
-in file order, so the output bytes do not depend on the worker count.
+instance, each task one instance with all its methods.  The CPUs left
+over are the workers' mixer threads (see simulator).  Rows are written in
+file order, so the output bytes do not depend on the worker count.
 """
 
 import argparse
@@ -73,8 +74,10 @@ class WorkerError(Exception):
     """A worker process running detection tasks died before returning."""
 
 
-# What every detection run of one command shares, built once from the config.
-DetectionSettings = namedtuple("DetectionSettings", "methods bounds budget tol top_k")
+# What every detection run of one command shares, built once from the config;
+# _map_instances sets threads, the mixer threads of each run, from the CPU budget.
+DetectionSettings = namedtuple("DetectionSettings", "methods bounds budget tol top_k threads",
+                               defaults=(1,))
 
 
 def _load_config(path):
@@ -213,10 +216,10 @@ def _top_indices(probs, k):
 def _run_detection(inst, model, oracle, theta0, method, settings):
     """Refine angles on one instance and assemble its report record."""
     trace = localopt.minimize(
-        lambda theta: simulator_expectation(model, theta), theta0,
+        lambda theta: simulator_expectation(model, theta, threads=settings.threads), theta0,
         bounds=settings.bounds, budget=settings.budget, tol=settings.tol,
     )
-    amps = qaoa_state(model, trace.best_point)
+    amps = qaoa_state(model, trace.best_point, threads=settings.threads)
     probs = amps.real**2 + amps.imag**2
 
     order = _top_indices(probs, settings.top_k)
@@ -277,12 +280,15 @@ def _map_instances(instances, starts, settings):
 
     With more than one CPU in the process's affinity mask, forked worker
     processes run the instances in parallel, one task per instance and at
-    most one worker per CPU and per instance.  Each task computes exactly
-    what the serial loop does, so the results do not depend on the count.
+    most one worker per CPU and per instance.  The CPUs are one budget:
+    each worker splits its mixer products over cpus // workers threads,
+    and a serial run over all of them.  Each task computes exactly what the
+    serial loop does, so the results do not depend on either count.
     """
-    tasks = (instances, starts, [settings] * len(instances))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, len(instances))
+    settings = settings._replace(threads=cpus // max(workers, 1))
+    tasks = (instances, starts, [settings] * len(instances))
     if workers <= 1:
         yield from map(_detect_instance, *tasks)
         return
@@ -292,6 +298,7 @@ def _map_instances(instances, starts, settings):
 
     # fork: a worker starts from this process's memory instead of importing numpy and
     # the package again, and this process has started no Python thread of its own by now
+    # (mixer threads start only in a serial run)
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
         yield from pool.map(_detect_instance, *tasks)

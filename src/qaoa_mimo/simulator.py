@@ -19,12 +19,14 @@ The mixer splits the n qubits into near-equal blocks of at most
 MIXER_BLOCK qubits and applies each block's Rx(2 beta)^{(x) w} as a
 dense 2^w x 2^w matrix product, so it makes ceil(n / MIXER_BLOCK)
 passes over the amplitudes instead of n single-qubit sweeps.  Each
-product is computed as a stack of products small enough for OpenBLAS to
-run on the calling thread, so its time does not depend on whether a
-second core is free.  A block depends only on its width and beta, so it
-is built once per (width, beta) and kept read-only in a cache of at most
-MIXER_CACHE blocks: every model of one ensemble evaluation shares the
-blocks of its layers, and an n = 6 layer's two width-3 blocks are one.
+product is computed as a stack of independent products small enough for
+OpenBLAS to run on one thread.  From SPLIT_QUBITS qubits on, a caller's
+``threads`` (default 1) share the stack; a product gets the same bits on
+any thread, so the result does not depend on their number.  A block
+depends only on its width and beta, so it is built once per (width,
+beta) and kept read-only in a cache of at most MIXER_CACHE blocks: every
+model of one ensemble evaluation shares the blocks of its layers, and an
+n = 6 layer's two width-3 blocks are one.
 
 Expectations are computed exactly from the final probabilities
 (infinite-shot limit).  A model's diagonal is built the first time it
@@ -33,6 +35,9 @@ more than DEFAULT_QUBIT_CAP qubits is refused when that build starts.
 """
 
 import functools
+import itertools
+import os
+import threading
 
 import numpy as np
 
@@ -50,9 +55,23 @@ MIXER_BLOCK = 5
 MIXER_CACHE = 64
 
 # Largest matrix product (m * n * k multiply-adds) that OpenBLAS runs on
-# the calling thread.  A product it splits across threads waits for a
-# second core, so its time depends on what else the machine runs.
+# the thread that calls it.  A product OpenBLAS splits across its own
+# threads rounds as that split does, so the stack of these products is
+# split across threads instead (see _split_matmul).
 _SERIAL_MATMUL = 1 << 15
+
+# Fewest qubits whose mixer product stacks are split across threads: a
+# second CPU cut a p = 3 evaluation by a fifth to a quarter at n = 18, gained
+# nothing at n = 16 and lost at n = 14, where waking a helper costs more.
+SPLIT_QUBITS = 17
+
+# Products that one thread claims at a time from a shared stack.
+_CHUNK = 16
+
+# (helper count, thread pool), started by the first split with its threads - 1
+# helpers and kept; a wider split later shares it.  A forked child inherits
+# the pool but not its threads, so it drops it.
+_helpers = None
 
 # Lowest qubits whose phase is one np.exp per amplitude; each higher qubit
 # is doubled from them (see _phase).  Doubling from 10 qubits is faster
@@ -143,6 +162,65 @@ def _built_mixer_block(w, beta_bytes):
     return block
 
 
+def _forget_helpers():
+    global _helpers
+    _helpers = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helpers)
+
+
+def _helper_pool(count):
+    """The kept (helper count, pool), started with ``count`` helper threads."""
+    global _helpers
+    if _helpers is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        _helpers = (count, ThreadPoolExecutor(count, thread_name_prefix="qaoa-mixer"))
+    return _helpers
+
+
+def _split_matmul(block, src, dst, threads):
+    """np.matmul(block, src, out=dst), its stacked products shared by this
+    thread and ``threads`` - 1 helpers.  Every thread claims the next _CHUNK
+    products until none are left; this thread then waits only for the
+    chunks a helper claimed, so a helper kept off its CPU delays the stack
+    by at most one chunk."""
+    chunks = -(-len(src) // _CHUNK)
+    claims = itertools.count(0, _CHUNK)
+    helped = threading.Semaphore(0)  # one release per chunk a helper finished
+    failures = []
+    # None once this split has ended, so a helper that starts late keeps no
+    # statevector alive while later evaluations allocate theirs
+    views = (src, dst)
+
+    def helper():
+        if (job := views) is None:
+            return
+        src, dst = job
+        while (start := next(claims)) < len(src):
+            try:
+                np.matmul(block, src[start : start + _CHUNK], out=dst[start : start + _CHUNK])
+            except Exception as exc:  # raised again on the calling thread
+                failures.append(exc)
+            finally:
+                helped.release()
+
+    size, pool = _helper_pool(threads - 1)
+    for _ in range(min(threads - 1, chunks - 1, size)):
+        pool.submit(helper)
+    own = 0
+    while (start := next(claims)) < len(src):
+        np.matmul(block, src[start : start + _CHUNK], out=dst[start : start + _CHUNK])
+        own += 1
+    for _ in range(chunks - own):
+        helped.acquire()
+    views = None
+    if failures:
+        raise failures[0]
+
+
 def _block_widths(n):
     """ceil(n / MIXER_BLOCK) near-equal widths summing to n."""
     blocks = -(-n // MIXER_BLOCK)
@@ -167,12 +245,13 @@ def _phase(model, diag, gamma, out, scale=None):
 # A phase that overflows comes out NaN, which every optimizer refuses as a failed
 # evaluation; numpy's warning about it would only add noise to stderr.
 @np.errstate(over="ignore", invalid="ignore")
-def _evolve(model, diag, angles):
+def _evolve(model, diag, angles, threads):
     dim = 1 << model.n
     p = angles.size // 2
     amps = np.empty(dim, dtype=np.complex128)
     spare = np.empty_like(amps)  # every layer reuses these two buffers
     widths = _block_widths(model.n)
+    threads = threads if model.n >= SPLIT_QUBITS else 1
     # gamma and beta are np.float64 scalars, the type -1j * gamma and the mixer
     # cache key were pinned with
     for layer, (gamma, beta) in enumerate(zip(angles[:p], angles[p:])):
@@ -184,30 +263,35 @@ def _evolve(model, diag, angles):
             # spare = mixer @ amps.reshape(-1, 2^w).T moves this block (the low
             # w bits) to the top bits, so after all blocks every qubit is
             # back in place.  It is computed as a stack of products over
-            # `cols` columns each, small enough to stay on this thread; every
-            # entry gets the same bits as from one product.
+            # `cols` columns each, small enough for one thread; every entry
+            # gets the same bits as from one product.
             cols = min(dim >> w, _SERIAL_MATMUL >> 2 * w)
-            np.matmul(
-                _mixer_block(w, beta),
-                amps.reshape(-1, cols, 1 << w).transpose(0, 2, 1),
-                out=spare.reshape(1 << w, -1, cols).transpose(1, 0, 2),
-            )
+            block = _mixer_block(w, beta)
+            src = amps.reshape(-1, cols, 1 << w).transpose(0, 2, 1)
+            dst = spare.reshape(1 << w, -1, cols).transpose(1, 0, 2)
+            if threads > 1:
+                _split_matmul(block, src, dst, threads)
+            else:
+                np.matmul(block, src, out=dst)
             amps, spare = spare, amps
     return amps
 
 
-def qaoa_state(model, angles):
+def qaoa_state(model, angles, threads=1):
     """Amplitudes after the p phase/mixer layers of ``angles`` on |+>^n: a
-    complex array of length 2^n (bit k of the index = qubit k)."""
+    complex array of length 2^n (bit k of the index = qubit k).  From
+    SPLIT_QUBITS qubits on, ``threads`` threads share the mixer's products;
+    the bits do not depend on it."""
     angles = _angle_vector(angles)
-    return _evolve(model, _model_diagonal(model), angles)
+    return _evolve(model, _model_diagonal(model), angles, threads)
 
 
-def expectation(model, angles):
-    """Exact <H_C> in the variational state (no shot noise)."""
+def expectation(model, angles, threads=1):
+    """Exact <H_C> in the variational state (no shot noise); ``threads`` as
+    for qaoa_state."""
     angles = _angle_vector(angles)
     diag = _model_diagonal(model)
-    amps = _evolve(model, diag, angles)
+    amps = _evolve(model, diag, angles, threads)
     probs = amps.real**2 + amps.imag**2
     # not probs @ diag: OpenBLAS splits a long dot product across threads,
     # which makes its roundoff depend on the thread count

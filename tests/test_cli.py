@@ -18,6 +18,7 @@ from qaoa_mimo.instances import (
     read_instances,
     write_instances,
 )
+from qaoa_mimo.simulator import SPLIT_QUBITS
 
 
 def write_config(tmp_path, name, **fields):
@@ -769,6 +770,44 @@ class TestCompare:
         errors = [b'"error"' in line for line in files["det.jsonl"].splitlines()]
         assert any(errors) and not all(errors)
 
+    # a serial run (one instance or one CPU) gets every CPU of the affinity mask
+    @pytest.mark.parametrize("cpus, count, threads", [
+        (4, 2, 2), (3, 2, 1), (2, 3, 1), (4, 1, 4), (1, 3, 1),
+    ])
+    def test_workers_split_the_cpu_budget(self, tmp_path, monkeypatch, cpus, count, threads):
+        config = self.setup_run(tmp_path, count=count, n_t=2)
+        log = tmp_path / "threads.log"
+        original = {name: getattr(cli, name) for name in ("simulator_expectation", "qaoa_state")}
+
+        def logged(name):  # forked workers inherit these, and log their own share
+            def call(model, angles, threads):
+                with open(log, "a") as fh:
+                    fh.write(f"{name} {threads}\n")
+                return original[name](model, angles, threads)
+
+            return call
+
+        for name in original:
+            monkeypatch.setattr(cli, name, logged(name))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert cli.main(["compare", "--config", config, "--out", str(tmp_path / "cmp")]) == 0
+        lines = log.read_text().splitlines()
+        assert set(lines) == {f"{name} {threads}" for name in original}
+
+    def test_split_mixer_gives_the_bytes_of_one_cpu(self, tmp_path, monkeypatch):
+        instances = tmp_path / "inst.jsonl"
+        cli.main(["gen-instances", "--config", write_config(
+            tmp_path, "g.json", count=1, n_t=SPLIT_QUBITS, seed=17), "--out", str(instances)])
+        config = write_config(tmp_path, "d.json", instances=str(instances), p=2, budget=4,
+                              seed=18)
+        reports = {}
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+            out = tmp_path / f"cpus-{cpus}.jsonl"
+            assert cli.main(["detect", "--config", config, "--out", str(out)]) == 0
+            reports[cpus] = out.read_bytes()
+        assert reports[2] == reports[1] and reports[3] == reports[1]
+
     def test_dead_worker_is_runtime_error(self, tmp_path):
         config = self.setup_run(tmp_path, count=3)
         doomed = read_instances(tmp_path / "inst.jsonl")[1].seed
@@ -849,6 +888,20 @@ class TestSelftestAndErrors:
             f"assert cli.main(['detect', '--config', {config!r}, '--out', {out!r}]) == 0"
         )
         assert self.exit_code_without_scipy(code) == 0
+        assert len(read_jsonl(out)) == 1
+
+    def test_small_serial_runs_leave_thread_pools_unloaded(self, tmp_path):
+        # below SPLIT_QUBITS the mixer starts no helper threads, and one instance no workers
+        instances = str(tmp_path / "inst.jsonl")
+        gen = write_config(tmp_path, "g.json", count=1, n_t=SPLIT_QUBITS - 1, seed=1)
+        detect = write_config(tmp_path, "d.json", instances=instances, p=1, budget=3, seed=4)
+        out = str(tmp_path / "reports.jsonl")
+        code = (
+            "from qaoa_mimo import cli; "
+            f"assert cli.main(['gen-instances', '--config', {gen!r}, '--out', {instances!r}]) == 0; "
+            f"assert cli.main(['detect', '--config', {detect!r}, '--out', {out!r}]) == 0"
+        )
+        assert self.exit_code_without_scipy(code, "concurrent.futures") == 0
         assert len(read_jsonl(out)) == 1
 
     def test_compare_leaves_scipy_unloaded(self, tmp_path):

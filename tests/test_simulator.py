@@ -1,8 +1,12 @@
 import dataclasses
 import functools
+import hashlib
 import os
+import select
+import signal
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -19,6 +23,7 @@ from qaoa_mimo.simulator import (
     MIXER_BLOCK,
     MIXER_CACHE,
     PHASE_BLOCK,
+    SPLIT_QUBITS,
     expectation,
     _built_mixer_block,
     _mixer_block,
@@ -280,13 +285,21 @@ class TestMixerCache:
 
 
 class TestSerialMixer:
-    @pytest.mark.parametrize("n", [1, 4, 6, 11, 16, 18])
+    @pytest.mark.parametrize("n", [1, 4, 6, 11, 16, 17, 18])
     def test_every_product_stays_on_one_thread(self, n, matmul_products):
-        products = matmul_products(simulator)
         model = build_ising(generate_instance(n, n, 1.0, seed=n))
-        expectation(model, [0.1, 0.2, 0.9, 0.5])
-        assert len(products) == 2 * -(-n // MIXER_BLOCK)
-        assert max(products) <= simulator._SERIAL_MATMUL
+        for threads in (1, 2):
+            products = matmul_products(simulator)
+            expectation(model, [0.1, 0.2, 0.9, 0.5], threads)
+            # one np.matmul per block and layer, or one per chunk of a split stack
+            calls = 0
+            for w in simulator._block_widths(n):
+                cols = min(1 << n - w, simulator._SERIAL_MATMUL >> 2 * w)
+                stack = (1 << n) // ((1 << w) * cols)
+                split = threads > 1 and n >= SPLIT_QUBITS
+                calls += -(-stack // simulator._CHUNK) if split else 1
+            assert len(products) == 2 * calls
+            assert max(products) <= simulator._SERIAL_MATMUL
 
     @pytest.mark.parametrize("n", [5, 11, 16])
     def test_stacked_products_give_the_bits_of_one_product(self, n, monkeypatch):
@@ -295,6 +308,91 @@ class TestSerialMixer:
         stacked = qaoa_state(model, angles)
         monkeypatch.setattr(simulator, "_SERIAL_MATMUL", 1 << 62)
         assert np.array_equal(stacked, qaoa_state(model, angles))
+
+
+class TestSplitMixer:
+    ANGLES = [0.1, 0.2, 0.3, 0.9, 0.5, 0.2]
+
+    @pytest.fixture
+    def own_helpers(self, monkeypatch):
+        """A fresh helper pool for the test, shut down after it."""
+        monkeypatch.setattr(simulator, "_helpers", None)
+        yield
+        if simulator._helpers is not None:
+            simulator._helpers[1].shutdown()
+
+    @staticmethod
+    def run(model, angles, threads):
+        state = qaoa_state(model, angles, threads)
+        return state.tobytes(), np.float64(expectation(model, angles, threads)).tobytes()
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    @pytest.mark.parametrize("n", [17, 18, 20])
+    def test_bits_do_not_depend_on_split_width(self, n, threads, own_helpers):
+        model = build_ising(generate_instance(n, n, 1.0, seed=n))
+        assert self.run(model, self.ANGLES, threads) == self.run(model, self.ANGLES, 1)
+        assert simulator._helpers[0] == threads - 1
+
+    def test_default_runs_on_the_calling_thread(self, own_helpers):
+        n = SPLIT_QUBITS
+        model = build_ising(generate_instance(n, n, 1.0, seed=n))
+        expectation(model, self.ANGLES)
+        qaoa_state(model, self.ANGLES)
+        assert simulator._helpers is None
+
+    @pytest.mark.parametrize("n", [17, 18, 20])
+    def test_caller_does_every_chunk_while_the_helper_is_held_back(self, n, own_helpers):
+        model = build_ising(generate_instance(n, n, 1.0, seed=n))
+        serial = self.run(model, self.ANGLES, 1)
+        gate = threading.Event()
+        held = simulator._helper_pool(1)[1].submit(gate.wait, 60)
+        try:
+            split = self.run(model, self.ANGLES, 2)
+            # the helper tasks still queued behind the held one keep no statevector alive
+            tracemalloc.start()
+            try:
+                expectation(model, self.ANGLES, 2)
+                kept = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            # the helper was busy all along: waiting for it would have taken 60 s
+            assert not held.done()
+        finally:
+            gate.set()
+        assert split == serial
+        assert kept < 16 * (1 << n)
+
+    def test_overflowing_angles_come_out_nan_on_every_thread(self, own_helpers):
+        n = SPLIT_QUBITS
+        model = build_ising(generate_instance(n, n, 1.0, seed=n))
+        for angles in ([1e308, 0.3], [0.2, np.inf], [np.nan, 0.1, 0.2, 0.3]):
+            assert np.isnan(expectation(model, angles, 2))
+
+    def test_forked_child_starts_its_own_helpers(self, own_helpers):
+        n = SPLIT_QUBITS
+        model = build_ising(generate_instance(n, n, 1.0, seed=n))
+        parent = self.run(model, self.ANGLES, 2)
+        assert simulator._helpers is not None
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child reports, then leaves without running pytest's exit
+            try:
+                fresh = simulator._helpers is None
+                state, value = self.run(model, self.ANGLES, 2)
+                os.write(write, bytes([fresh]) + hashlib.sha256(state).digest() + value)
+            finally:
+                os._exit(0)
+        os.close(write)
+        try:
+            ready, _, _ = select.select([read], [], [], 60)
+            if not ready:
+                os.kill(pid, signal.SIGKILL)
+            assert ready, "the child's split evaluation did not finish in 60 s"
+            report = os.read(read, 64)
+        finally:
+            os.close(read)
+            os.waitpid(pid, 0)
+        assert report == b"\x01" + hashlib.sha256(parent[0]).digest() + parent[1]
 
 
 class TestPhase:
@@ -332,6 +430,20 @@ class TestPhase:
         tracemalloc.start()
         try:
             expectation(model, angles)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.75 * 16 * (1 << n)
+
+    def test_split_expectation_peaks_below_three_statevectors(self):
+        # the threads that share the mixer's products allocate no buffer
+        n = 18
+        model = build_ising(generate_instance(n, n, 1.0, seed=n))
+        angles = [0.1, 0.2, 0.3, 0.9, 0.5, 0.2]
+        expectation(model, angles, 2)  # builds and keeps the diagonal, starts the helper
+        tracemalloc.start()
+        try:
+            expectation(model, angles, 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
