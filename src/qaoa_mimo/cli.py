@@ -36,7 +36,7 @@ from .instances import (
     read_instances,
     write_instances,
 )
-from .ising import build_ising, index_to_bitstring, index_to_spins, ising_energy, spins_to_bits
+from .ising import build_ising, index_to_bitstring, index_to_spins, ising_energy, spins_to_index
 from .jsonio import SCHEMA_VERSION, dump_line, dumps, format_float, strict_float, strict_int
 from .rng import MAX_ABS_NORMAL, STREAM_ANTENNA_CHOICE, STREAM_INSTANCE_SEEDS
 from .rng import STREAM_RANDOM_INIT, substream
@@ -214,7 +214,7 @@ def _top_indices(probs, k):
 
 
 def _run_detection(inst, model, oracle, theta0, method, settings):
-    """Refine angles on one instance and assemble its report record."""
+    """Refine angles on one instance; return its report and recorded costs."""
     trace = localopt.minimize(
         lambda theta: simulator_expectation(model, theta, threads=settings.threads), theta0,
         bounds=settings.bounds, budget=settings.budget, tol=settings.tol,
@@ -224,8 +224,8 @@ def _run_detection(inst, model, oracle, theta0, method, settings):
 
     order = _top_indices(probs, settings.top_k)
     argmax_index = int(order[0])  # largest first, ties by index, as np.argmax
-    decoded = index_to_spins(argmax_index, model.n)
     x_best, ml_value = oracle
+    best = spins_to_index(x_best)
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -244,34 +244,34 @@ def _run_detection(inst, model, oracle, theta0, method, settings):
             for m in order
         ],
         "argmax_bitstring": index_to_bitstring(argmax_index, model.n),
-        "decoded_symbols": [int(v) for v in decoded],
+        "decoded_symbols": [int(v) for v in index_to_spins(argmax_index, model.n)],
         "bruteforce_symbols": [int(v) for v in x_best],
-        "bruteforce_bitstring": spins_to_bits(x_best),
+        "bruteforce_bitstring": index_to_bitstring(best, model.n),
         "bruteforce_value": float(ml_value),
-        "success": bool(np.array_equal(decoded, x_best)),
+        "success": argmax_index == best,
         "solution_probability": success_probability(amps, x_best),
     }
-    return report, trace
+    return report, [value for _, value in trace.evaluations]
 
 
 def _detect_instance(inst, starts, settings):
     """Run each of ``settings.methods`` on one instance from its entry in
-    ``starts``; return one (report, trace) per method, in method order.
+    ``starts``; return one (report, costs) per method, in method order.
 
     The instance's Ising model and brute-force oracle are built once and
-    shared by its methods.  A failed run gives an error row and trace None.
+    shared by its methods.  A failed run gives an error row and no costs.
     """
     try:
         model = build_ising(inst)
         oracle = brute_force_detect(inst)
     except Exception as exc:
-        return [(_error_row(inst, method, exc), None) for method in settings.methods]
+        return [(_error_row(inst, method, exc), []) for method in settings.methods]
     runs = []
     for method, theta0 in zip(settings.methods, starts):
         try:
             runs.append(_run_detection(inst, model, oracle, theta0, method, settings))
         except Exception as exc:
-            runs.append((_error_row(inst, method, exc), None))
+            runs.append((_error_row(inst, method, exc), []))
     return runs
 
 
@@ -310,7 +310,7 @@ def _map_instances(instances, starts, settings):
 
 def _detection_runs(config, seed, methods):
     """Check a detection config, then return its instances and an iterator
-    of one (report, trace) per instance and method, in file order."""
+    of one (report, costs) per instance and method, in file order."""
     instances = read_instances(_resolve_path(config, "instances"))
     p = _require(config, "p", strict_int, minimum=1)
     budget = _optional(config, "budget", strict_int, 150, minimum=1)
@@ -357,10 +357,10 @@ def cmd_compare(config, seed, out):
     with open(os.path.join(out, "reports.jsonl"), "w") as fh, \
             open(os.path.join(out, "curves.csv"), "w") as curves:
         curves.write("iteration,cost,method,instance\n")
-        for report, trace in runs:
+        for report, costs in runs:
             reports.append(report)
             dump_line(report, fh)
-            for iteration, (_, value) in enumerate(trace.evaluations if trace else ()):
+            for iteration, value in enumerate(costs):
                 curves.write(
                     f"{iteration},{format_float(value)},{report['method']},{report['instance_seed']}\n"
                 )
@@ -555,8 +555,8 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ResourceLimitError, ObjectiveEvaluationError, np.linalg.LinAlgError, ValueError,
-            MemoryError, WorkerError) as exc:
+    except (ResourceLimitError, ObjectiveEvaluationError, ValueError, MemoryError,
+            WorkerError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except OSError as exc:

@@ -6,12 +6,5 @@ class ResourceLimitError(Exception):
 
 
 class ObjectiveEvaluationError(Exception):
-    """The black-box objective failed during an optimization loop.
-
-    Carries the ``localopt.OptTrace`` of the evaluations before the failure
-    in ``history`` so callers can inspect what was evaluated.
-    """
-
-    def __init__(self, message, history=None):
-        super().__init__(message)
-        self.history = history
+    """The black-box objective failed during an optimization loop; the message
+    says after how many evaluations."""

@@ -22,10 +22,7 @@ from .rng import (
     standard_normals,
     substream,
 )
-from .simulator import _SERIAL_MATMUL
-
-# Exhaustive search visits 2^n_t candidates; above this it is refused.
-EXHAUSTIVE_CAP = 20
+from .simulator import _SERIAL_MATMUL, DEFAULT_QUBIT_CAP
 
 _CHUNK = 1 << 14
 
@@ -124,9 +121,9 @@ def brute_force_detect(inst):
         (x_best, value): the minimizing symbol vector and its objective.
     """
     n = inst.n_t
-    if n > EXHAUSTIVE_CAP:
+    if n > DEFAULT_QUBIT_CAP:  # the simulator's cap: 2^n_t candidates, as many amplitudes
         raise ResourceLimitError(
-            f"exhaustive search over 2^{n} candidates exceeds the cap of {EXHAUSTIVE_CAP} antennas"
+            f"exhaustive search over 2^{n} candidates exceeds the cap of {DEFAULT_QUBIT_CAP} antennas"
         )
     shifts = np.arange(n, dtype=np.uint64)
     # H x for `rows` candidates per product: small enough that OpenBLAS keeps it

@@ -60,14 +60,6 @@ def ising_energy(model, x):
     return float(x @ model.gram @ x - np.trace(model.gram) - 2.0 * (model.matched @ x))
 
 
-def spins_to_bits(x):
-    """Symbol vector to bitstring (-1 -> '1', +1 -> '0'), antenna 1 leftmost."""
-    x = np.asarray(x)
-    if not np.all(np.abs(x) == 1):
-        raise ValueError("x entries must be -1 or +1")
-    return "".join("1" if v < 0 else "0" for v in x)
-
-
 def index_to_spins(index, n):
     """Symbol vector encoded by basis index ``index`` (bit k = antenna k)."""
     bits = (int(index) >> np.arange(n)) & 1

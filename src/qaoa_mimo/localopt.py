@@ -86,10 +86,7 @@ class OptTrace:
 
     @classmethod
     def of(cls, evaluations, converged, reason):
-        """The trace of a list of (point, value); without any, best_point is
-        None and best_value inf."""
-        if not evaluations:
-            return cls([], None, np.inf, converged, reason)
+        """The trace of a non-empty list of (point, value)."""
         values = [v for _, v in evaluations]
         k = int(np.argmin(values))
         return cls(list(evaluations), evaluations[k][0].copy(), values[k], converged, reason)
@@ -97,15 +94,14 @@ class OptTrace:
 
 def evaluate_guarded(objective, x, evaluations):
     """``float(objective(x))``.  If the objective raises or returns a non-finite
-    value, ObjectiveEvaluationError carries the trace of ``evaluations``."""
+    value, ObjectiveEvaluationError says how many ``evaluations`` came before."""
     try:
         value = float(objective(x))
         if not math.isfinite(value):
             raise ValueError(f"non-finite value {value}")
     except Exception as exc:
         raise ObjectiveEvaluationError(
-            f"objective failed after {len(evaluations)} evaluations: {exc}",
-            history=OptTrace.of(evaluations, converged=False, reason="objective failure"),
+            f"objective failed after {len(evaluations)} evaluations: {exc}"
         ) from exc
     return value
 
@@ -151,7 +147,7 @@ def minimize(objective, x0, bounds=None, budget=150, tol=1e-6):
     """Minimize ``objective`` from ``x0`` with at most ``budget`` evaluations,
     starting at trust radius ``initial_radius(bounds)``; deterministic given
     identical inputs.  If the objective raises or returns a non-finite value,
-    the run aborts and ObjectiveEvaluationError carries the partial trace.
+    the run aborts with ObjectiveEvaluationError.
     Raises ValueError for an x0 that is empty, not 1-D or not finite, bounds
     that fail ``check_box``, a budget that is not an integer >= 1 and a tol
     outside [MIN_TOL, initial_radius(bounds)].

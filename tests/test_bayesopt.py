@@ -478,7 +478,7 @@ class TestBayesOpt:
         assert history.best_value == 1.0
         assert len(history.evaluations) == 10
 
-    def test_objective_failure_attaches_partial_history(self):
+    def test_objective_failure_reports_evaluation_count(self):
         calls = []
 
         def flaky(x):
@@ -487,9 +487,8 @@ class TestBayesOpt:
             calls.append(1)
             return float(x[0])
 
-        with pytest.raises(ObjectiveEvaluationError) as err:
+        with pytest.raises(ObjectiveEvaluationError, match="after 3 evaluations"):
             bayes_opt(flaky, UNIT_1D, t_rounds=5, n_init=5, seed=5)
-        assert len(err.value.history.evaluations) == 3
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_value_is_objective_failure(self, bad):
@@ -499,9 +498,8 @@ class TestBayesOpt:
             calls.append(1)
             return bad if len(calls) == 3 else float(x[0])
 
-        with pytest.raises(ObjectiveEvaluationError, match="non-finite") as err:
+        with pytest.raises(ObjectiveEvaluationError, match="after 2 evaluations: non-finite"):
             bayes_opt(overflowing, UNIT_1D, t_rounds=5, n_init=5, seed=5)
-        assert len(err.value.history.evaluations) == 2
 
     def test_constant_objective_evaluates_the_scipy_halton_design(self):
         # constant values give the GP no signal, so every round falls back to

@@ -19,6 +19,7 @@ from qaoa_mimo.instances import (
     write_instances,
 )
 from qaoa_mimo.simulator import SPLIT_QUBITS
+from qaoa_mimo.warmstart import angle_bounds
 
 
 def write_config(tmp_path, name, **fields):
@@ -486,6 +487,23 @@ class TestTrainInit:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_failed_factorization_is_one_runtime_error_line(self, tmp_path, capsys, monkeypatch):
+        instances = self.make_instances(tmp_path)
+        config = write_config(
+            tmp_path, "train.json", instances=str(instances), p=2, t_rounds=1,
+            n_init=2, seed=3,
+        )
+
+        def cholesky(matrix):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        out = tmp_path / "init.json"
+        assert cli.main(["train-init", "--config", config, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "runtime error: Matrix is not positive definite\n"
+        assert not out.exists()
+
     def test_zero_rounds_rejected(self, tmp_path):
         instances = self.make_instances(tmp_path)
         config = write_config(
@@ -715,6 +733,22 @@ class TestCompare:
         assert summary["n_failures"] == 2 * count
         assert summary["n_paired"] == 0
         assert (out / "curves.csv").read_text() == "iteration,cost,method,instance\n"
+
+    def test_workers_hand_back_each_runs_costs(self):
+        methods = (cli.TRAINED_INIT, cli.RANDOM_INIT)
+        bounds = angle_bounds(2)
+        settings = cli.DetectionSettings(methods, bounds, 20, 1e-6, 4)
+        starts = (bounds.mean(axis=1), bounds[:, 0] + 0.25 * (bounds[:, 1] - bounds[:, 0]))
+        runs = cli._detect_instance(generate_instance(3, 3, 1.0, seed=8), starts, settings)
+        assert [report["method"] for report, _ in runs] == list(methods)
+        for report, costs in runs:
+            assert all(type(value) is float for value in costs)
+            assert len(costs) == report["n_evaluations"]
+            assert min(costs) == report["best_value"]
+
+        oversized = generate_instance(21, 21, 1.0, seed=9)
+        for report, costs in cli._detect_instance(oversized, starts, settings):
+            assert "error" in report and costs == []
 
     def test_model_and_oracle_built_once_per_instance(self, tmp_path, monkeypatch):
         count = 3

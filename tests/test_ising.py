@@ -10,7 +10,6 @@ from qaoa_mimo.ising import (
     index_to_bitstring,
     index_to_spins,
     ising_energy,
-    spins_to_bits,
     spins_to_index,
 )
 
@@ -114,7 +113,7 @@ class TestEncoding:
         seen = set()
         for m in range(1 << n):
             x = index_to_spins(m, n)
-            bits = spins_to_bits(x)
+            bits = index_to_bitstring(spins_to_index(x), n)
             assert bits == index_to_bitstring(m, n)
             assert spins_to_index(x) == m
             seen.add(bits)
@@ -128,7 +127,7 @@ class TestEncoding:
         bits = index_to_bitstring(m, n)
         assert x.shape == (n,) and len(bits) == n
         assert spins_to_index(x) == m
-        assert spins_to_bits(x) == bits
+        assert index_to_bitstring(spins_to_index(x), n) == bits
 
     def test_antenna_one_is_leftmost(self):
         # index 1 has bit 0 set, i.e. antenna 1 carries symbol -1

@@ -146,7 +146,7 @@ class TestMinimize:
         assert np.all(trace.best_point >= bounds[:, 0] - 1e-3)
         assert np.all(trace.best_point <= bounds[:, 1] + 1e-3)
 
-    def test_objective_failure_attaches_partial_trace(self):
+    def test_objective_failure_reports_evaluation_count(self):
         calls = []
 
         def flaky(x):
@@ -155,10 +155,8 @@ class TestMinimize:
             calls.append(1)
             return quadratic(x)
 
-        with pytest.raises(ObjectiveEvaluationError) as err:
+        with pytest.raises(ObjectiveEvaluationError, match="after 4 evaluations"):
             minimize(flaky, [0.0, 0.0], budget=50)
-        assert len(err.value.history.evaluations) == 4
-        assert err.value.history.reason == "objective failure"
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_value_is_objective_failure(self, bad):
@@ -168,10 +166,8 @@ class TestMinimize:
             calls.append(1)
             return bad if len(calls) == 5 else quadratic(x)
 
-        with pytest.raises(ObjectiveEvaluationError, match="non-finite") as err:
+        with pytest.raises(ObjectiveEvaluationError, match="after 4 evaluations: non-finite"):
             minimize(overflowing, [0.0, 0.0], budget=50)
-        assert len(err.value.history.evaluations) == 4
-        assert err.value.history.reason == "objective failure"
 
     def test_initial_radius(self):
         assert initial_radius(None) == 0.5
