@@ -297,8 +297,8 @@ def _map_instances(instances, starts, settings):
     from concurrent.futures.process import BrokenProcessPool
 
     # fork: a worker starts from this process's memory instead of importing numpy and
-    # the package again, and this process has started no Python thread of its own by now
-    # (mixer threads start only in a serial run)
+    # the package again.  Mixer helper threads that an earlier serial run started sit
+    # idle between splits, and a forked worker starts its own pool by pid
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
         yield from pool.map(_detect_instance, *tasks)

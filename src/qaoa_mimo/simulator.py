@@ -43,6 +43,7 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .ising import spins_to_index
+from .localopt import check_count
 
 # Most qubits simulated: 2^20 complex doubles is 16 MB.
 DEFAULT_QUBIT_CAP = 20
@@ -67,11 +68,6 @@ SPLIT_QUBITS = 17
 
 # Products that one thread claims at a time from a shared stack.
 _CHUNK = 16
-
-# (helper count, thread pool), started by the first split with its threads - 1
-# helpers and kept; a wider split later shares it.  A forked child inherits
-# the pool but not its threads, so it drops it.
-_helpers = None
 
 # Lowest qubits whose phase is one np.exp per amplitude; each higher qubit
 # is doubled from them (see _phase).  Doubling from 10 qubits is faster
@@ -162,23 +158,13 @@ def _built_mixer_block(w, beta_bytes):
     return block
 
 
-def _forget_helpers():
-    global _helpers
-    _helpers = None
+@functools.lru_cache(maxsize=1)
+def _helper_pool(pid, count):
+    """``count`` helper threads, kept for process ``pid``: a forked child, which
+    inherits the pool but not its threads, misses the cache and starts its own."""
+    from concurrent.futures import ThreadPoolExecutor
 
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helpers)
-
-
-def _helper_pool(count):
-    """The kept (helper count, pool), started with ``count`` helper threads."""
-    global _helpers
-    if _helpers is None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        _helpers = (count, ThreadPoolExecutor(count, thread_name_prefix="qaoa-mixer"))
-    return _helpers
+    return ThreadPoolExecutor(count, thread_name_prefix="qaoa-mixer")
 
 
 def _split_matmul(block, src, dst, threads):
@@ -207,8 +193,8 @@ def _split_matmul(block, src, dst, threads):
             finally:
                 helped.release()
 
-    size, pool = _helper_pool(threads - 1)
-    for _ in range(min(threads - 1, chunks - 1, size)):
+    pool = _helper_pool(os.getpid(), threads - 1)
+    for _ in range(min(threads - 1, chunks - 1)):
         pool.submit(helper)
     own = 0
     while (start := next(claims)) < len(src):
@@ -281,8 +267,9 @@ def qaoa_state(model, angles, threads=1):
     """Amplitudes after the p phase/mixer layers of ``angles`` on |+>^n: a
     complex array of length 2^n (bit k of the index = qubit k).  From
     SPLIT_QUBITS qubits on, ``threads`` threads share the mixer's products;
-    the bits do not depend on it."""
+    the bits do not depend on it.  ValueError unless it is an integer >= 1."""
     angles = _angle_vector(angles)
+    check_count("threads", threads)
     return _evolve(model, _model_diagonal(model), angles, threads)
 
 
@@ -290,6 +277,7 @@ def expectation(model, angles, threads=1):
     """Exact <H_C> in the variational state (no shot noise); ``threads`` as
     for qaoa_state."""
     angles = _angle_vector(angles)
+    check_count("threads", threads)
     diag = _model_diagonal(model)
     amps = _evolve(model, diag, angles, threads)
     probs = amps.real**2 + amps.imag**2

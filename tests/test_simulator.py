@@ -93,6 +93,19 @@ class TestAngleVector:
             simulate(field_only_model(np.ones(21)), angles)  # not ResourceLimitError
         assert diagonal_builds == [] and model.diagonal is None
 
+    @pytest.mark.parametrize("threads", [2.5, "2", True, 0, -3, None])
+    @pytest.mark.parametrize("simulate", [expectation, qaoa_state])
+    def test_threads_refused_before_any_diagonal_or_pool(self, simulate, threads,
+                                                          diagonal_builds):
+        simulator._helper_pool.cache_clear()
+        model = build_ising(generate_instance(SPLIT_QUBITS, SPLIT_QUBITS, 1.0, seed=1))
+        with pytest.raises(ValueError, match="threads must be an integer >= 1"):
+            simulate(model, [0.1, 0.2], threads)
+        with pytest.raises(ValueError, match="threads must be an integer >= 1"):
+            simulate(field_only_model(np.ones(21)), [0.1, 0.2], threads)
+        assert diagonal_builds == [] and model.diagonal is None
+        assert simulator._helper_pool.cache_info().currsize == 0
+
     def test_list_gives_the_bits_of_an_array(self):
         model = build_ising(generate_instance(4, 4, 1.0, seed=4))
         angles = [0.1, 0.2, 0.9, 0.5]
@@ -314,12 +327,15 @@ class TestSplitMixer:
     ANGLES = [0.1, 0.2, 0.3, 0.9, 0.5, 0.2]
 
     @pytest.fixture
-    def own_helpers(self, monkeypatch):
-        """A fresh helper pool for the test, shut down after it."""
-        monkeypatch.setattr(simulator, "_helpers", None)
+    def own_helpers(self):
+        """A fresh helper pool for the test; dropped after it, which ends its threads."""
+        simulator._helper_pool.cache_clear()
         yield
-        if simulator._helpers is not None:
-            simulator._helpers[1].shutdown()
+        simulator._helper_pool.cache_clear()
+        for thread in threading.enumerate():
+            if thread.name.startswith("qaoa-mixer"):
+                thread.join(60)
+                assert not thread.is_alive()
 
     @staticmethod
     def run(model, angles, threads):
@@ -331,21 +347,45 @@ class TestSplitMixer:
     def test_bits_do_not_depend_on_split_width(self, n, threads, own_helpers):
         model = build_ising(generate_instance(n, n, 1.0, seed=n))
         assert self.run(model, self.ANGLES, threads) == self.run(model, self.ANGLES, 1)
-        assert simulator._helpers[0] == threads - 1
+        # one pool, started by the first split and shared by every later one
+        info = simulator._helper_pool.cache_info()
+        assert info.misses == 1 and info.hits > 0 and info.currsize == 1
 
     def test_default_runs_on_the_calling_thread(self, own_helpers):
         n = SPLIT_QUBITS
         model = build_ising(generate_instance(n, n, 1.0, seed=n))
         expectation(model, self.ANGLES)
         qaoa_state(model, self.ANGLES)
-        assert simulator._helpers is None
+        assert simulator._helper_pool.cache_info().misses == 0
+
+    def test_a_wider_split_later_gets_every_helper(self, own_helpers, monkeypatch):
+        from concurrent.futures import ThreadPoolExecutor
+
+        n = SPLIT_QUBITS
+        model = build_ising(generate_instance(n, n, 1.0, seed=n))
+        expectation(model, self.ANGLES, 2)
+        splits, submits = [], []
+        split_matmul, submit = simulator._split_matmul, ThreadPoolExecutor.submit
+
+        def counted_split(block, src, dst, threads):
+            splits.append(threads)
+            return split_matmul(block, src, dst, threads)
+
+        def counted_submit(pool, *args):
+            submits.append(pool)
+            return submit(pool, *args)
+
+        monkeypatch.setattr(simulator, "_split_matmul", counted_split)
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", counted_submit)
+        expectation(model, self.ANGLES, 3)
+        assert splits and set(splits) == {3} and len(submits) == 2 * len(splits)
 
     @pytest.mark.parametrize("n", [17, 18, 20])
     def test_caller_does_every_chunk_while_the_helper_is_held_back(self, n, own_helpers):
         model = build_ising(generate_instance(n, n, 1.0, seed=n))
         serial = self.run(model, self.ANGLES, 1)
         gate = threading.Event()
-        held = simulator._helper_pool(1)[1].submit(gate.wait, 60)
+        held = simulator._helper_pool(os.getpid(), 1).submit(gate.wait, 60)
         try:
             split = self.run(model, self.ANGLES, 2)
             # the helper tasks still queued behind the held one keep no statevector alive
@@ -372,13 +412,17 @@ class TestSplitMixer:
         n = SPLIT_QUBITS
         model = build_ising(generate_instance(n, n, 1.0, seed=n))
         parent = self.run(model, self.ANGLES, 2)
-        assert simulator._helpers is not None
+        assert simulator._helper_pool.cache_info().misses == 1
+        inherited = simulator._helper_pool(os.getpid(), 1)
         read, write = os.pipe()
         pid = os.fork()
         if pid == 0:  # the child reports, then leaves without running pytest's exit
             try:
-                fresh = simulator._helpers is None
                 state, value = self.run(model, self.ANGLES, 2)
+                # the child's splits started a pool of their own, which this lookup finds
+                hits = simulator._helper_pool.cache_info().hits
+                own = simulator._helper_pool(os.getpid(), 1)
+                fresh = own is not inherited and simulator._helper_pool.cache_info().hits > hits
                 os.write(write, bytes([fresh]) + hashlib.sha256(state).digest() + value)
             finally:
                 os._exit(0)
