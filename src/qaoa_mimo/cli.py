@@ -5,6 +5,8 @@ Modes: ``gen-instances`` (seeded instance file), ``train-init``
 readout), ``compare`` (paired trained-vs-random runs with curve and
 summary files), and ``selftest`` (quick internal consistency battery).
 
+Each mode reads the keys of its table in KEYS, checked before any file is
+opened; a null key takes its default and any other key is a config error.
 Every output is a pure function of the config file plus the master seed;
 records are JSON-lines, curves are CSV, and floats are written as their
 shortest round-trip repr, so reruns are byte-identical.
@@ -29,28 +31,16 @@ from . import localopt
 from .bayesopt import SquaredExponentialKernel, bayes_opt, gp_fit, gp_predict
 from .closed_form import depth1_expectation
 from .errors import ObjectiveEvaluationError, ResourceLimitError
-from .instances import (
-    brute_force_detect,
-    generate_instance,
-    ml_objective,
-    read_instances,
-    write_instances,
-)
+from .instances import brute_force_detect, generate_instance, ml_objective, read_instances
+from .instances import write_instances
 from .ising import build_ising, index_to_bitstring, index_to_spins, ising_energy, spins_to_index
 from .jsonio import SCHEMA_VERSION, dump_line, dumps, format_float, strict_float, strict_int
 from .rng import MAX_ABS_NORMAL, STREAM_ANTENNA_CHOICE, STREAM_INSTANCE_SEEDS
 from .rng import STREAM_RANDOM_INIT, substream
 from .simulator import hamiltonian_diagonal, qaoa_state, success_probability
 from .simulator import expectation as simulator_expectation
-from .warmstart import (
-    DEFAULT_BETA_MAX,
-    DEFAULT_GAMMA_MAX,
-    DEFAULT_TRAIN_N_INIT,
-    angle_bounds,
-    read_init_params,
-    train_init,
-    write_init_params,
-)
+from .warmstart import DEFAULT_BETA_MAX, DEFAULT_GAMMA_MAX, DEFAULT_TRAIN_N_INIT, angle_bounds
+from .warmstart import read_init_params, train_init, write_init_params
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -74,12 +64,6 @@ class WorkerError(Exception):
     """A worker process running detection tasks died before returning."""
 
 
-# What every detection run of one command shares, built once from the config;
-# _map_instances sets threads, the mixer threads of each run, from the CPU budget.
-DetectionSettings = namedtuple("DetectionSettings", "methods bounds budget tol top_k threads",
-                               defaults=(1,))
-
-
 def _load_config(path):
     if path is None:
         return {}
@@ -95,56 +79,88 @@ def _load_config(path):
     return config
 
 
-def _require(config, key, convert, minimum=None):
-    if key not in config:
-        raise ConfigError(f"config is missing required key {key!r}")
-    try:
-        value = convert(config[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config key {key!r} has invalid value {config[key]!r}") from exc
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"config key {key!r} must be >= {minimum}, got {value}")
+def _path(value):
+    """A non-empty string: true or 1 would be opened as a file descriptor."""
+    if not value or not isinstance(value, str):
+        raise ValueError(f"{value!r} is not a path")
     return value
 
 
-def _optional(config, key, convert, default, minimum=None):
-    if key not in config or config[key] is None:
-        return default
-    return _require(config, key, convert, minimum)
+def _input_path(value):
+    if not os.path.exists(_path(value)):
+        raise FileNotFoundError(value)
+    return value
 
 
-def _path(config, key):
-    path = config.get(key)
-    if not path or not isinstance(path, str):
-        raise ConfigError(f"config key {key!r} must be a non-empty path string, got {path!r}")
-    return path
+def _int_choices(value):
+    choices = [strict_int(v) for v in (value if isinstance(value, list) else [value])]
+    if not choices or min(choices) < 1:
+        raise ValueError(f"{value!r} is not an int >= 1 or a non-empty list of them")
+    return choices
 
 
-def _resolve_path(config, key):
-    path = _path(config, key)
-    if not os.path.exists(path):
-        raise ConfigError(f"config path {key!r} does not exist: {path}")
-    return path
+# A config key's converter, its default (REQUIRED if none) and its least value.
+Key = namedtuple("Key", "convert default minimum", defaults=(None,))
+REQUIRED = object()
+_SEED, _INIT = Key(strict_int, REQUIRED, 0), Key(_input_path, None)  # no init: random starts
+_OUTPUT = {"seed": _SEED, "out": Key(_path, REQUIRED)}
+_ANGLES = {**_OUTPUT, "instances": Key(_input_path, REQUIRED), "p": Key(strict_int, REQUIRED, 1),
+           "gamma_max": Key(strict_float, DEFAULT_GAMMA_MAX, 0.0),
+           "beta_max": Key(strict_float, DEFAULT_BETA_MAX, 0.0)}
+_DETECTION = {**_ANGLES, "init": _INIT, "budget": Key(strict_int, 150, 1),
+              "top_k": Key(strict_int, 8, 1), "tol": Key(strict_float, 1e-6)}  # range: check_tol
+# Each mode's keys; any other key is a config error.  No n_r means n_r = n_t.
+KEYS = {
+    "gen-instances": {**_OUTPUT, "count": Key(strict_int, REQUIRED, 1),
+                      "n_t": Key(_int_choices, REQUIRED), "n_r": Key(strict_int, None, 1),
+                      "noise_scale": Key(strict_float, 1.0, 0.0)},
+    "train-init": {**_ANGLES, "t_rounds": Key(strict_int, REQUIRED, 1),
+                   "kappa": Key(strict_float, 2.0, 0.0),
+                   "n_init": Key(strict_int, DEFAULT_TRAIN_N_INIT, 1)},
+    "detect": _DETECTION,
+    "compare": {**_DETECTION, "init": _INIT._replace(default=REQUIRED)},
+    "selftest": {"seed": _SEED._replace(default=0)},
+}
 
 
-def cmd_gen_instances(config, seed, out):
-    count = _require(config, "count", strict_int, minimum=1)
-    noise_scale = _optional(config, "noise_scale", strict_float, 1.0, minimum=0.0)
-    n_t = config.get("n_t")
-    if n_t is None:
-        raise ConfigError("config is missing required key 'n_t'")
-    choices = [
-        _require({"n_t": v}, "n_t", strict_int, minimum=1)
-        for v in (n_t if isinstance(n_t, list) else [n_t])
-    ]
-    if not choices:
-        raise ConfigError("n_t must be an int >= 1 or a non-empty list of them")
-    n_r = _optional(config, "n_r", strict_int, None, minimum=1)
+def _checked(config, keys):
+    """``config``'s values under the table ``keys``, as attributes; a missing or null
+    key takes its default.  Raises ConfigError for a key outside the table, a missing
+    required key and a value that its converter refuses or that is below its minimum."""
+    for key in config:
+        if key not in keys:
+            import difflib  # on this error path only, so a valid run never loads it
+
+            close = difflib.get_close_matches(key, keys, n=1)
+            hint = f" (did you mean {close[0]!r}?)" if close else ""
+            raise ConfigError(f"unknown config key {key!r}{hint}")
+    settings = argparse.Namespace()
+    for key, (convert, default, minimum) in keys.items():
+        value = config.get(key)
+        if value is None:
+            if default is REQUIRED:
+                raise ConfigError(f"config is missing required key {key!r}")
+            value = default
+        else:
+            try:
+                value = convert(value)
+            except FileNotFoundError:
+                raise ConfigError(f"config path {key!r} does not exist: {value}") from None
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"config key {key!r} has invalid value {value!r}") from exc
+            if minimum is not None and value < minimum:
+                raise ConfigError(f"config key {key!r} must be >= {minimum}, got {value}")
+        setattr(settings, key, value)
+    return settings
+
+
+def cmd_gen_instances(settings):
+    choices, n_r, noise_scale = settings.n_t, settings.n_r, settings.noise_scale
     # worst case over the n_t choices: h, x_true, noise and y of one instance
     per_instance = max(nt * nr + nt + 2 * nr for nt in choices for nr in [n_r or nt])
-    if count * per_instance > MAX_GENERATED_VALUES:
+    if settings.count * per_instance > MAX_GENERATED_VALUES:
         raise ConfigError(
-            f"{count} instances of up to {per_instance} values each exceed "
+            f"{settings.count} instances of up to {per_instance} values each exceed "
             f"the cap of {MAX_GENERATED_VALUES} generated values"
         )
     # |h| and |noise| / noise_scale are at most MAX_ABS_NORMAL, so ||y - H x||^2
@@ -158,37 +174,27 @@ def cmd_gen_instances(config, seed, out):
             f"energies of instances with n_t = {widest} can overflow float64"
         )
 
-    seeds = substream(seed, STREAM_INSTANCE_SEEDS).integers(0, 2**63, size=count)
-    picks = substream(seed, STREAM_ANTENNA_CHOICE).integers(0, len(choices), size=count)
+    seeds = substream(settings.seed, STREAM_INSTANCE_SEEDS).integers(0, 2**63, size=settings.count)
+    picks = substream(settings.seed, STREAM_ANTENNA_CHOICE).integers(0, len(choices), size=settings.count)
     instances = []
     for inst_seed, pick in zip(seeds, picks):
         nt = choices[int(pick)]
-        instances.append(generate_instance(nt, n_r if n_r is not None else nt, noise_scale, int(inst_seed)))
-    write_instances(out, instances)
-    print(f"wrote {count} instances to {out}")
+        instances.append(generate_instance(nt, n_r or nt, noise_scale, int(inst_seed)))
+    write_instances(settings.out, instances)
+    print(f"wrote {settings.count} instances to {settings.out}")
     return EXIT_OK
 
 
-def _resolve_bounds(config, p):
-    gamma_max = _optional(config, "gamma_max", strict_float, DEFAULT_GAMMA_MAX, minimum=0.0)
-    beta_max = _optional(config, "beta_max", strict_float, DEFAULT_BETA_MAX, minimum=0.0)
-    return angle_bounds(p, gamma_max=gamma_max, beta_max=beta_max)
-
-
-def cmd_train_init(config, seed, out):
-    instances = read_instances(_resolve_path(config, "instances"))
-    p = _require(config, "p", strict_int, minimum=1)
-    t_rounds = _require(config, "t_rounds", strict_int, minimum=1)
-    kappa = _optional(config, "kappa", strict_float, 2.0, minimum=0.0)
-    n_init = _optional(config, "n_init", strict_int, DEFAULT_TRAIN_N_INIT, minimum=1)
-
+def cmd_train_init(settings):
+    instances = read_instances(settings.instances)
     init = train_init(
-        instances, p=p, t_rounds=t_rounds, kappa=kappa, seed=seed, n_init=n_init,
-        bounds=_resolve_bounds(config, p),
+        instances, p=settings.p, t_rounds=settings.t_rounds, kappa=settings.kappa,
+        seed=settings.seed, n_init=settings.n_init,
+        bounds=angle_bounds(settings.p, settings.gamma_max, settings.beta_max),
     )
-    write_init_params(out, init)
+    write_init_params(settings.out, init)
     print(
-        f"trained {2 * p} angles on {len(instances)} instances; "
+        f"trained {2 * settings.p} angles on {len(instances)} instances; "
         f"ensemble objective {format_float(init.training_meta['final_objective'])}"
     )
     return EXIT_OK
@@ -287,7 +293,7 @@ def _map_instances(instances, starts, settings):
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, len(instances))
-    settings = settings._replace(threads=cpus // max(workers, 1))
+    settings.threads = cpus // max(workers, 1)
     tasks = (instances, starts, [settings] * len(instances))
     if workers <= 1:
         yield from map(_detect_instance, *tasks)
@@ -308,50 +314,48 @@ def _map_instances(instances, starts, settings):
         pool.shutdown(cancel_futures=True)
 
 
-def _detection_runs(config, seed, methods):
-    """Check a detection config, then return its instances and an iterator
-    of one (report, costs) per instance and method, in file order."""
-    instances = read_instances(_resolve_path(config, "instances"))
-    p = _require(config, "p", strict_int, minimum=1)
-    budget = _optional(config, "budget", strict_int, 150, minimum=1)
-    tol = _optional(config, "tol", strict_float, 1e-6)
-    top_k = _optional(config, "top_k", strict_int, 8, minimum=1)
-    bounds = _resolve_bounds(config, p)
+def _detection_runs(settings, methods):
+    """Finish checking a detection config, then return its instances and an
+    iterator of one (report, costs) per instance and method, in file order.
+    ``settings`` gains the runs' ``methods`` and angle ``bounds``."""
+    bounds = angle_bounds(settings.p, settings.gamma_max, settings.beta_max)
     try:
-        localopt.check_tol(tol, bounds)
+        localopt.check_tol(settings.tol, bounds)
     except ValueError as exc:
         raise ConfigError(f"config key {exc}") from exc
+    instances = read_instances(settings.instances)
     # random starts: one uniform draw over the angle box per instance, in file order
-    gen = substream(seed, STREAM_RANDOM_INIT)
+    gen = substream(settings.seed, STREAM_RANDOM_INIT)
     low, span = bounds[:, 0], bounds[:, 1] - bounds[:, 0]
     starts = {RANDOM_INIT: [low + gen.random(bounds.shape[0]) * span for _ in instances]}
     if TRAINED_INIT in methods:
-        init = read_init_params(_resolve_path(config, "init"))
-        if init.angles.size // 2 != p:
-            raise ConfigError(f"init file has p={init.angles.size // 2} but config requests p={p}")
+        init = read_init_params(settings.init)
+        if init.angles.size // 2 != settings.p:
+            raise ConfigError(f"init file has p={init.angles.size // 2} but config requests p={settings.p}")
         starts[TRAINED_INIT] = [init.angles] * len(instances)
 
-    settings = DetectionSettings(methods, bounds, budget, tol, top_k)
+    settings.methods, settings.bounds = methods, bounds
     per_instance = list(zip(*(starts[method] for method in methods)))
     results = _map_instances(instances, per_instance, settings)
     return instances, (run for runs in results for run in runs)
 
 
-def cmd_detect(config, seed, out):
-    method = RANDOM_INIT if config.get("init") is None else TRAINED_INIT
-    instances, runs = _detection_runs(config, seed, (method,))
+def cmd_detect(settings):
+    method = RANDOM_INIT if settings.init is None else TRAINED_INIT
+    instances, runs = _detection_runs(settings, (method,))
     failures = 0
-    with open(out, "w") as fh:
+    with open(settings.out, "w") as fh:
         for report, _ in runs:
             failures += "error" in report
             dump_line(report, fh)
-    print(f"detected {len(instances) - failures}/{len(instances)} instances ({method}) -> {out}")
+    print(f"detected {len(instances) - failures}/{len(instances)} instances ({method}) -> {settings.out}")
     return EXIT_PARTIAL if failures else EXIT_OK
 
 
-def cmd_compare(config, seed, out):
+def cmd_compare(settings):
     """Paired trained-init vs random-init runs on the same instance set."""
-    instances, runs = _detection_runs(config, seed, (TRAINED_INIT, RANDOM_INIT))
+    instances, runs = _detection_runs(settings, (TRAINED_INIT, RANDOM_INIT))
+    out = settings.out
     os.makedirs(out, exist_ok=True)
     reports = []
     with open(os.path.join(out, "reports.jsonl"), "w") as fh, \
@@ -527,11 +531,11 @@ def build_parser():
         description="QAOA-based ML detection experiments on simulated MIMO channels",
     )
     sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in ("gen-instances", "train-init", "detect", "compare", "selftest"):
+    for mode, keys in KEYS.items():
         mode_parser = sub.add_parser(mode)
         mode_parser.add_argument("--config", help="JSON config file")
         mode_parser.add_argument("--seed", type=int, help="master seed (overrides config)")
-        if mode != "selftest":
+        if "out" in keys:
             mode_parser.add_argument("--out", help="output path (overrides config)")
     return parser
 
@@ -541,17 +545,13 @@ def main(argv=None):
     try:
         config = _load_config(args.config)
         config.update((k, v) for k, v in vars(args).items() if k in ("seed", "out") and v is not None)
+        settings = _checked(config, KEYS[args.mode])
         if args.mode == "selftest":
-            return cmd_selftest(_optional(config, "seed", strict_int, 0, minimum=0))
-        seed = _require(config, "seed", strict_int, minimum=0)
-        out = _path(config, "out")
-        if args.mode == "gen-instances":
-            return cmd_gen_instances(config, seed, out)
-        if args.mode == "train-init":
-            return cmd_train_init(config, seed, out)
-        if args.mode == "detect":
-            return cmd_detect(config, seed, out)
-        return cmd_compare(config, seed, out)
+            return cmd_selftest(settings.seed)
+        # looked up per call, so a wrapper installed on a cmd_* name is the one run
+        command = {"gen-instances": cmd_gen_instances, "train-init": cmd_train_init,
+                   "detect": cmd_detect, "compare": cmd_compare}[args.mode]
+        return command(settings)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

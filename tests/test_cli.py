@@ -1,3 +1,4 @@
+import argparse
 import ast
 import dataclasses
 import glob
@@ -217,13 +218,19 @@ class TestTopIndices:
         ("detect", "tol"),
     ],
 )
-def test_bool_or_non_finite_float_is_config_error(tmp_path, mode, key, value):
+def test_bool_or_non_finite_float_is_config_error(tmp_path, capsys, mode, key, value):
     instances = tmp_path / "inst.jsonl"
     write_instances(instances, [make_identity_instance([1, -1], seed=5)])
-    fields = {"count": 2, "n_t": 2} if mode == "gen-instances" else {"instances": str(instances)}
-    config = write_config(tmp_path, "c.json", p=1, t_rounds=1, seed=1, **fields, **{key: value})
+    fields = {
+        "gen-instances": {"count": 2, "n_t": 2},
+        "train-init": {"instances": str(instances), "p": 1, "t_rounds": 1},
+        "detect": {"instances": str(instances), "p": 1},
+    }[mode]
+    config = write_config(tmp_path, "c.json", seed=1, **fields, **{key: value})
     out = tmp_path / "out"
     assert cli.main([mode, "--config", config, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1 and repr(key) in err
     assert not out.exists()
 
 
@@ -281,13 +288,19 @@ def test_non_string_path_is_config_error(tmp_path, monkeypatch, capfd, mode, key
     # true or 1 would otherwise be opened as a file descriptor (stdout)
     monkeypatch.chdir(tmp_path)
     write_instances(tmp_path / "inst.jsonl", [make_identity_instance([1, -1], seed=5)])
-    fields = dict(count=1, n_t=2, instances="inst.jsonl", init="inst.jsonl", p=1, t_rounds=1,
-                  seed=1, out="out.jsonl")
-    config = write_config(tmp_path, "c.json", **{**fields, key: value})
+    detection = dict(instances="inst.jsonl", init="inst.jsonl", p=1)
+    fields = {
+        "gen-instances": dict(count=1, n_t=2),
+        "train-init": dict(instances="inst.jsonl", p=1, t_rounds=1),
+        "detect": detection,
+        "compare": detection,
+    }[mode]
+    config = write_config(tmp_path, "c.json", **{**fields, "seed": 1, "out": "out.jsonl", key: value})
     before = sorted(os.listdir(tmp_path))
     assert cli.main([mode, "--config", config]) == 1
     out, err = capfd.readouterr()
     assert out == "" and err.startswith("config error: ") and err.count("\n") == 1
+    assert repr(key) in err
     assert sorted(os.listdir(tmp_path)) == before
 
 
@@ -337,9 +350,9 @@ def test_overflowing_instance_energies_are_refused(tmp_path, mode, fields, code)
     instances, init = tmp_path / "inst.jsonl", tmp_path / "init.json"
     write_instances(instances, [generate_instance(2, 2, 1e200, seed) for seed in (1, 2)])
     init.write_text(json.dumps({"p": 1, "gammas": [0.1], "betas": [0.2], "training_meta": {}}))
-    config = write_config(
-        tmp_path, "run.json", instances=str(instances), init=str(init), p=1, seed=1, **fields
-    )
+    if mode != "train-init":
+        fields = {**fields, "init": str(init)}
+    config = write_config(tmp_path, "run.json", instances=str(instances), p=1, seed=1, **fields)
     out = tmp_path / "out"
     proc = run_cli_process(mode, "--config", config, "--out", str(out))
     assert proc.returncode == code
@@ -369,8 +382,11 @@ def test_overflowing_instance_energies_are_refused(tmp_path, mode, fields, code)
     ids=["train-init-p", "detect-p", "compare-p", "train-init-n_init"],
 )
 def test_absurd_size_is_runtime_error(tmp_path, capsys, mode, fields):
-    instances = tmp_path / "inst.jsonl"
+    instances, init = tmp_path / "inst.jsonl", tmp_path / "init.json"
     write_instances(instances, [make_identity_instance([1, -1], seed=5)])
+    init.write_text(json.dumps({"p": 1, "gammas": [0.1], "betas": [0.2], "training_meta": {}}))
+    if mode == "compare":  # compare requires an init file
+        fields = {**fields, "init": str(init)}
     config = write_config(tmp_path, "c.json", instances=str(instances), seed=1, **fields)
     assert cli.main([mode, "--config", config, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
@@ -439,12 +455,29 @@ def test_malformed_record_is_runtime_error(tmp_path, capsys, target, key, mangle
 def test_numeric_string_integer_key_is_config_error(tmp_path, capsys, mode, key):
     instances = tmp_path / "inst.jsonl"
     write_instances(instances, [make_identity_instance([1, -1], seed=5)])
-    fields = {"p": 1, "t_rounds": 1, key: "1"}
+    fields = {"p": 1, **({"t_rounds": 1} if mode == "train-init" else {}), key: "1"}
     config = write_config(tmp_path, "c.json", instances=str(instances), seed=1, **fields)
     out = tmp_path / "out"
     assert cli.main([mode, "--config", config, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err == f"config error: config key {key!r} has invalid value '1'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "mode, fields, key",
+    [("train-init", {"p": 0, "t_rounds": 1}, "p"), ("compare", {"p": 1}, "init"),
+     ("detect", {"p": 1, "tol": 0.3}, "tol")],
+    ids=["train-init-p", "compare-init", "detect-tol"],
+)
+def test_config_error_is_reported_before_any_file_is_read(tmp_path, capsys, mode, fields, key):
+    instances = tmp_path / "inst.jsonl"
+    instances.write_text("not json\n")
+    config = write_config(tmp_path, "c.json", instances=str(instances), seed=1, **fields)
+    out = tmp_path / "out"
+    assert cli.main([mode, "--config", config, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1 and repr(key) in err
     assert not out.exists()
 
 
@@ -635,19 +668,20 @@ class TestDetect:
         assert subprocess.run([sys.executable, "-c", script], timeout=60).returncode == 0
         assert len(read_jsonl(out)) == 1
 
-    def test_removed_qubit_cap_key_is_ignored(self, tmp_path):
+    # the removed qubit cap, a misspelt key, another mode's key and a key like no other
+    @pytest.mark.parametrize("key, hint", [
+        ("max_qubits", ""), ("budgett", " (did you mean 'budget'?)"), ("t_rounds", ""),
+        ("colour", ""),
+    ], ids=["max_qubits", "budgett", "t_rounds", "colour"])
+    def test_unknown_key_is_config_error(self, tmp_path, capsys, key, hint):
         instances = tmp_path / "inst.jsonl"
-        gen = write_config(tmp_path, "g.json", count=2, n_t=6, seed=8)
-        assert cli.main(["gen-instances", "--config", gen, "--out", str(instances)]) == 0
-        outputs = []
-        for extra in ({}, {"max_qubits": 3}):
-            out = tmp_path / f"reports-{len(outputs)}.jsonl"
-            config = write_config(
-                tmp_path, "detect.json", instances=str(instances), p=2, budget=20, seed=4, **extra
-            )
-            assert cli.main(["detect", "--config", config, "--out", str(out)]) == 0
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
+        write_instances(instances, [make_identity_instance([1, -1], seed=5)])
+        config = write_config(tmp_path, "d.json", instances=str(instances), p=1, seed=4,
+                              **{key: 5})
+        out = tmp_path / "reports.jsonl"
+        assert cli.main(["detect", "--config", config, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: unknown config key {key!r}{hint}\n"
+        assert not out.exists()
 
     def test_non_finite_objective_writes_error_rows(self, tmp_path):
         config = write_overflowing_config(tmp_path, budget=10)
@@ -737,7 +771,8 @@ class TestCompare:
     def test_workers_hand_back_each_runs_costs(self):
         methods = (cli.TRAINED_INIT, cli.RANDOM_INIT)
         bounds = angle_bounds(2)
-        settings = cli.DetectionSettings(methods, bounds, 20, 1e-6, 4)
+        settings = argparse.Namespace(methods=methods, bounds=bounds, budget=20, tol=1e-6,
+                                      top_k=4, threads=1)
         starts = (bounds.mean(axis=1), bounds[:, 0] + 0.25 * (bounds[:, 1] - bounds[:, 0]))
         runs = cli._detect_instance(generate_instance(3, 3, 1.0, seed=8), starts, settings)
         assert [report["method"] for report, _ in runs] == list(methods)

@@ -342,9 +342,15 @@ class TestSplitMixer:
         state = qaoa_state(model, angles, threads)
         return state.tobytes(), np.float64(expectation(model, angles, threads)).tobytes()
 
+    # the bits depend neither on the thread count nor on how many products a
+    # thread claims at a time (_CHUNK, 16 by default)
     @pytest.mark.parametrize("threads", [2, 3])
-    @pytest.mark.parametrize("n", [17, 18, 20])
-    def test_bits_do_not_depend_on_split_width(self, n, threads, own_helpers):
+    @pytest.mark.parametrize("n, chunk", [
+        pytest.param(n, chunk, id=str(n) if chunk == 16 else f"{n}-chunk{chunk}")
+        for n, chunk in [(17, 1), (17, 5), (17, 16), (17, 64), (18, 16), (20, 16)]
+    ])
+    def test_bits_do_not_depend_on_split_width(self, n, chunk, threads, own_helpers, monkeypatch):
+        monkeypatch.setattr(simulator, "_CHUNK", chunk)
         model = build_ising(generate_instance(n, n, 1.0, seed=n))
         assert self.run(model, self.ANGLES, threads) == self.run(model, self.ANGLES, 1)
         # one pool, started by the first split and shared by every later one
