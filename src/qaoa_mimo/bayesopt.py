@@ -27,6 +27,9 @@ MAX_JITTER = 1e-2
 # Uniform random starts of each acquisition search, besides the training points.
 ACQUISITION_STARTS = 8
 
+# The UCB acquisition's exploration weight unless given.
+DEFAULT_KAPPA = 2.0
+
 
 @dataclass(frozen=True)
 class SquaredExponentialKernel:
@@ -196,7 +199,7 @@ def maximize_acquisition(post, kappa, seed):
     return x[np.argmax(best)]
 
 
-def bayes_opt(objective, bounds, t_rounds, kappa=2.0, n_init=5, seed=0, kernel=None):
+def bayes_opt(objective, bounds, t_rounds, kappa=DEFAULT_KAPPA, n_init=5, seed=0, kernel=None):
     """Sequential surrogate-based minimization of a black-box objective.
 
     ``n_init`` scrambled-Halton points are evaluated first, then ``t_rounds``

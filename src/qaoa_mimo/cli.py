@@ -13,9 +13,9 @@ shortest round-trip repr, so reruns are byte-identical.
 
 ``detect`` and ``compare`` run their instances in parallel: one forked
 worker process per CPU in the process's affinity mask, at most one per
-instance, each task one instance with all its methods.  The CPUs left
-over are the workers' mixer threads (see simulator).  Rows are written in
-file order, so the output bytes do not depend on the worker count.
+instance, each task one instance with all its methods; the simulator
+runs on each worker's one thread.  Rows are written in file order, so the
+output bytes do not depend on the worker count.
 """
 
 import argparse
@@ -28,7 +28,7 @@ from collections import namedtuple
 import numpy as np
 
 from . import localopt
-from .bayesopt import SquaredExponentialKernel, bayes_opt, gp_fit, gp_predict
+from .bayesopt import DEFAULT_KAPPA, SquaredExponentialKernel, bayes_opt, gp_fit, gp_predict
 from .closed_form import depth1_expectation
 from .errors import ObjectiveEvaluationError, ResourceLimitError
 from .instances import brute_force_detect, generate_instance, ml_objective, read_instances
@@ -107,15 +107,16 @@ _OUTPUT = {"seed": _SEED, "out": Key(_path, REQUIRED)}
 _ANGLES = {**_OUTPUT, "instances": Key(_input_path, REQUIRED), "p": Key(strict_int, REQUIRED, 1),
            "gamma_max": Key(strict_float, DEFAULT_GAMMA_MAX, 0.0),
            "beta_max": Key(strict_float, DEFAULT_BETA_MAX, 0.0)}
-_DETECTION = {**_ANGLES, "init": _INIT, "budget": Key(strict_int, 150, 1),
-              "top_k": Key(strict_int, 8, 1), "tol": Key(strict_float, 1e-6)}  # range: check_tol
+_DETECTION = {**_ANGLES, "init": _INIT, "budget": Key(strict_int, localopt.DEFAULT_BUDGET, 1),
+              "top_k": Key(strict_int, 8, 1),
+              "tol": Key(strict_float, localopt.DEFAULT_TOL)}  # range: check_tol
 # Each mode's keys; any other key is a config error.  No n_r means n_r = n_t.
 KEYS = {
     "gen-instances": {**_OUTPUT, "count": Key(strict_int, REQUIRED, 1),
                       "n_t": Key(_int_choices, REQUIRED), "n_r": Key(strict_int, None, 1),
                       "noise_scale": Key(strict_float, 1.0, 0.0)},
     "train-init": {**_ANGLES, "t_rounds": Key(strict_int, REQUIRED, 1),
-                   "kappa": Key(strict_float, 2.0, 0.0),
+                   "kappa": Key(strict_float, DEFAULT_KAPPA, 0.0),
                    "n_init": Key(strict_int, DEFAULT_TRAIN_N_INIT, 1)},
     "detect": _DETECTION,
     "compare": {**_DETECTION, "init": _INIT._replace(default=REQUIRED)},
@@ -222,10 +223,10 @@ def _top_indices(probs, k):
 def _run_detection(inst, model, oracle, theta0, method, settings):
     """Refine angles on one instance; return its report and recorded costs."""
     trace = localopt.minimize(
-        lambda theta: simulator_expectation(model, theta, threads=settings.threads), theta0,
+        lambda theta: simulator_expectation(model, theta), theta0,
         bounds=settings.bounds, budget=settings.budget, tol=settings.tol,
     )
-    amps = qaoa_state(model, trace.best_point, threads=settings.threads)
+    amps = qaoa_state(model, trace.best_point)
     probs = amps.real**2 + amps.imag**2
 
     order = _top_indices(probs, settings.top_k)
@@ -286,14 +287,11 @@ def _map_instances(instances, starts, settings):
 
     With more than one CPU in the process's affinity mask, forked worker
     processes run the instances in parallel, one task per instance and at
-    most one worker per CPU and per instance.  The CPUs are one budget:
-    each worker splits its mixer products over cpus // workers threads,
-    and a serial run over all of them.  Each task computes exactly what the
-    serial loop does, so the results do not depend on either count.
+    most one worker per CPU and per instance.  Each task computes exactly
+    what the serial loop does, so the results do not depend on the count.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, len(instances))
-    settings.threads = cpus // max(workers, 1)
     tasks = (instances, starts, [settings] * len(instances))
     if workers <= 1:
         yield from map(_detect_instance, *tasks)
@@ -303,8 +301,7 @@ def _map_instances(instances, starts, settings):
     from concurrent.futures.process import BrokenProcessPool
 
     # fork: a worker starts from this process's memory instead of importing numpy and
-    # the package again.  Mixer helper threads that an earlier serial run started sit
-    # idle between splits, and a forked worker starts its own pool by pid
+    # the package again
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
         yield from pool.map(_detect_instance, *tasks)

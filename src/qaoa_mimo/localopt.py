@@ -134,6 +134,8 @@ def initial_radius(bounds=None):
 
 # The smallest tol: below about 2e-157 the port's products overflow float64.
 MIN_TOL = 1e-150
+# minimize's evaluation budget and final trust radius unless given
+DEFAULT_BUDGET, DEFAULT_TOL = 150, 1e-6
 
 
 def check_tol(tol, bounds=None):
@@ -143,7 +145,7 @@ def check_tol(tol, bounds=None):
         raise ValueError(f"'tol' must be in [{MIN_TOL}, {radius}], got {tol}")
 
 
-def minimize(objective, x0, bounds=None, budget=150, tol=1e-6):
+def minimize(objective, x0, bounds=None, budget=DEFAULT_BUDGET, tol=DEFAULT_TOL):
     """Minimize ``objective`` from ``x0`` with at most ``budget`` evaluations,
     starting at trust radius ``initial_radius(bounds)``; deterministic given
     identical inputs.  If the objective raises or returns a non-finite value,

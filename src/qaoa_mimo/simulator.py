@@ -17,16 +17,21 @@ exponentials instead of 2^n.
 
 The mixer splits the n qubits into near-equal blocks of at most
 MIXER_BLOCK qubits and applies each block's Rx(2 beta)^{(x) w} as a
-dense 2^w x 2^w matrix product, so it makes ceil(n / MIXER_BLOCK)
-passes over the amplitudes instead of n single-qubit sweeps.  Each
-product is computed as a stack of independent products small enough for
-OpenBLAS to run on one thread.  From SPLIT_QUBITS qubits on, a caller's
-``threads`` (default 1) share the stack; a product gets the same bits on
-any thread, so the result does not depend on their number.  A block
-depends only on its width and beta, so it is built once per (width,
-beta) and kept read-only in a cache of at most MIXER_CACHE blocks: every
-model of one ensemble evaluation shares the blocks of its layers, and an
-n = 6 layer's two width-3 blocks are one.
+2^w x 2^w matrix product, so it makes ceil(n / MIXER_BLOCK) passes over
+the amplitudes instead of n single-qubit sweeps.  The state is evolved in
+the rotated frame D^-1 psi, D = diag(i^popcount(m >> w0)) with w0 the
+width of the lowest block.  D commutes with every phase layer and leaves
+every probability as it is; in its frame each block above the lowest is
+the real matrix cos(beta)^(w-d) sin(beta)^d (-1)^popcount(i & ~j), with
+d = popcount(i ^ j), which acts on the real and imaginary parts alike as
+a float64 product: half the multiply-adds of a complex one.  The first
+phase layer enters the frame, and qaoa_state leaves it.  Every product is
+computed as a stack of products small enough for OpenBLAS to run on the
+calling thread, so the bits do not depend on its thread count.  A block
+depends only on its width and beta, so each (width, beta) pair's complex
+and real blocks are built together once and kept read-only in a cache of
+at most MIXER_CACHE pairs: every model of one ensemble evaluation shares
+the blocks of its layers, and an n = 6 layer's two width-3 blocks are one.
 
 Expectations are computed exactly from the final probabilities
 (infinite-shot limit).  A model's diagonal is built the first time it
@@ -35,52 +40,57 @@ more than DEFAULT_QUBIT_CAP qubits is refused when that build starts.
 """
 
 import functools
-import itertools
-import os
-import threading
 
 import numpy as np
 
 from .errors import ResourceLimitError
 from .ising import spins_to_index
-from .localopt import check_count
 
 # Most qubits simulated: 2^20 complex doubles is 16 MB.
 DEFAULT_QUBIT_CAP = 20
 
-# Widest mixer block: a 32 x 32 unitary per pass over the amplitudes.
-MIXER_BLOCK = 5
+# Widest mixer block: an 8 x 8 block per pass over the amplitudes.  Real
+# blocks make narrow ones pay: a p = 3 evaluation at n = 18 on one CPU took
+# 28 ms with width 3, 31 ms with width 4 and 41 ms with width 5.
+MIXER_BLOCK = 3
 
-# Mixer blocks kept, least recently used dropped first: all of a p <= 32
-# circuit's (two widths per layer), in at most 64 x 16 KB.
+# Mixer block pairs kept, least recently used dropped first: all of a
+# p <= 32 circuit's (two widths per layer), in at most 64 x 1.5 KB.
 MIXER_CACHE = 64
 
 # Largest matrix product (m * n * k multiply-adds) that OpenBLAS runs on
 # the thread that calls it.  A product OpenBLAS splits across its own
-# threads rounds as that split does, so the stack of these products is
-# split across threads instead (see _split_matmul).
+# threads rounds as that split does, so a larger product is computed as a
+# stack of these instead.
 _SERIAL_MATMUL = 1 << 15
-
-# Fewest qubits whose mixer product stacks are split across threads: a
-# second CPU cut a p = 3 evaluation by a fifth to a quarter at n = 18, gained
-# nothing at n = 16 and lost at n = 14, where waking a helper costs more.
-SPLIT_QUBITS = 17
-
-# Products that one thread claims at a time from a shared stack.
-_CHUNK = 16
 
 # Lowest qubits whose phase is one np.exp per amplitude; each higher qubit
 # is doubled from them (see _phase).  Doubling from 10 qubits is faster
 # than np.exp over all amplitudes from n = 12 on.
 PHASE_BLOCK = 10
 
+
+@functools.lru_cache(maxsize=None)
+def _popcounts(bits):
+    """popcount(m) for m < 2^bits, doubled over the bits; read-only."""
+    counts = np.zeros(1 << bits, dtype=np.intp)
+    for k in range(bits):
+        np.add(counts[: 1 << k], 1, out=counts[1 << k : 2 << k])
+    counts.flags.writeable = False
+    return counts
+
+
+_STATES = np.arange(1 << MIXER_BLOCK)
 # _FLIPS[i, j] = popcount(i ^ j), the number of qubits on which basis states
 # i and j differ; its top-left 2^w x 2^w corner serves a block of w qubits.
-_FLIPS = np.array([bin(m).count("1") for m in range(1 << MIXER_BLOCK)])[
-    np.bitwise_xor.outer(np.arange(1 << MIXER_BLOCK), np.arange(1 << MIXER_BLOCK))
-]
+_FLIPS = _popcounts(MIXER_BLOCK)[np.bitwise_xor.outer(_STATES, _STATES)]
+# (-1)^popcount(i & ~j): the signs of the real block in the rotated frame
+_SIGNS = 1.0 - 2.0 * (_popcounts(MIXER_BLOCK)[_STATES[:, None] & ~_STATES] % 2)
+# (-i)^k and i^k for k mod 4
+_MINUS_I_POWERS = np.array([1, -1j, -1, 1j])
+_I_POWERS = _MINUS_I_POWERS.conj()
 # (-i)^d for d flips
-_FLIP_PHASE = np.array([1, -1j, -1, 1j])[np.arange(MIXER_BLOCK + 1) % 4]
+_FLIP_PHASE = _MINUS_I_POWERS[np.arange(MIXER_BLOCK + 1) % 4]
 
 
 def _angle_vector(angles):
@@ -141,88 +151,58 @@ def _model_diagonal(model):
 
 
 def _mixer_block(w, beta):
-    """Rx(2 beta)^{(x) w} as a read-only 2^w x 2^w matrix, built once per
-    width and bit pattern of beta (so -0.0 and 0.0 stay apart) and kept in
-    a cache of at most MIXER_CACHE blocks."""
+    """Rx(2 beta)^{(x) w} as a complex 2^w x 2^w matrix, and its real form in
+    the rotated frame; both read-only, built once per width and bit pattern
+    of beta (so -0.0 and 0.0 stay apart) and kept in a cache of at most
+    MIXER_CACHE pairs."""
     return _built_mixer_block(w, np.float64(beta).tobytes())
 
 
 @functools.lru_cache(maxsize=MIXER_CACHE)
 def _built_mixer_block(w, beta_bytes):
-    """Entry (i, j) is cos(beta)^(w-d) * (-i sin(beta))^d with d = popcount(i ^ j)."""
+    """Entry (i, j) is cos(beta)^(w-d) sin(beta)^d times (-i)^d in the complex
+    block and times (-1)^popcount(i & ~j) in the real one, d = popcount(i ^ j)."""
     beta = np.frombuffer(beta_bytes)[0]
     d = np.arange(w + 1)
-    factors = np.cos(beta) ** (w - d) * np.sin(beta) ** d * _FLIP_PHASE[: w + 1]
-    block = factors[_FLIPS[: 1 << w, : 1 << w]]
-    block.flags.writeable = False
-    return block
-
-
-@functools.lru_cache(maxsize=1)
-def _helper_pool(pid, count):
-    """``count`` helper threads, kept for process ``pid``: a forked child, which
-    inherits the pool but not its threads, misses the cache and starts its own."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(count, thread_name_prefix="qaoa-mixer")
-
-
-def _split_matmul(block, src, dst, threads):
-    """np.matmul(block, src, out=dst), its stacked products shared by this
-    thread and ``threads`` - 1 helpers.  Every thread claims the next _CHUNK
-    products until none are left; this thread then waits only for the
-    chunks a helper claimed, so a helper kept off its CPU delays the stack
-    by at most one chunk."""
-    chunks = -(-len(src) // _CHUNK)
-    claims = itertools.count(0, _CHUNK)
-    helped = threading.Semaphore(0)  # one release per chunk a helper finished
-    failures = []
-    # None once this split has ended, so a helper that starts late keeps no
-    # statevector alive while later evaluations allocate theirs
-    views = (src, dst)
-
-    def helper():
-        if (job := views) is None:
-            return
-        src, dst = job
-        while (start := next(claims)) < len(src):
-            try:
-                np.matmul(block, src[start : start + _CHUNK], out=dst[start : start + _CHUNK])
-            except Exception as exc:  # raised again on the calling thread
-                failures.append(exc)
-            finally:
-                helped.release()
-
-    pool = _helper_pool(os.getpid(), threads - 1)
-    for _ in range(min(threads - 1, chunks - 1)):
-        pool.submit(helper)
-    own = 0
-    while (start := next(claims)) < len(src):
-        np.matmul(block, src[start : start + _CHUNK], out=dst[start : start + _CHUNK])
-        own += 1
-    for _ in range(chunks - own):
-        helped.acquire()
-    views = None
-    if failures:
-        raise failures[0]
+    magnitudes = np.cos(beta) ** (w - d) * np.sin(beta) ** d
+    flips, signs = _FLIPS[: 1 << w, : 1 << w], _SIGNS[: 1 << w, : 1 << w]
+    blocks = (magnitudes * _FLIP_PHASE[: w + 1])[flips], magnitudes[flips] * signs
+    for block in blocks:
+        block.flags.writeable = False
+    return blocks
 
 
 def _block_widths(n):
-    """ceil(n / MIXER_BLOCK) near-equal widths summing to n."""
+    """ceil(n / MIXER_BLOCK) near-equal widths summing to n, narrowest first."""
     blocks = -(-n // MIXER_BLOCK)
     return [(n + i) // blocks for i in range(blocks)]
 
 
-def _phase(model, diag, gamma, out, scale=None):
-    """exp(-i gamma diag), times ``scale`` if given, into ``out``: np.exp
-    over the lowest PHASE_BLOCK qubits, doubled over the others."""
+@functools.lru_cache(maxsize=None)  # one table per n, at most 2^PHASE_BLOCK entries
+def _frame_seed(n):
+    """|+>^n in the rotated frame over the lowest min(n, PHASE_BLOCK) qubits:
+    (-i)^popcount(m >> w0) / sqrt(2^n), w0 the lowest block's width."""
+    low, seed_qubits = _block_widths(n)[0], min(n, PHASE_BLOCK)
+    phases = _MINUS_I_POWERS[np.repeat(_popcounts(seed_qubits - low) % 4, 1 << low)]
+    seed = phases * (1.0 / np.sqrt(1 << n))
+    seed.flags.writeable = False
+    return seed
+
+
+def _phase(model, diag, gamma, out, first=False):
+    """exp(-i gamma diag) into ``out``: np.exp over the lowest PHASE_BLOCK
+    qubits, doubled over the others.  The ``first`` layer acts on |+>^n and
+    enters the rotated frame: it is times _frame_seed on the lowest qubits,
+    and each higher qubit's flip factor is times -i."""
     seed = out[: 1 << min(model.n, PHASE_BLOCK)]
     np.exp(np.multiply(-1j * gamma, diag[: seed.size], out=seed), out=seed)
-    if scale is not None:
-        seed *= scale
+    if first:
+        seed *= _frame_seed(model.n)
     if model.n > PHASE_BLOCK:
         _, flips, steps = _flip_costs(model)
         flips, steps = np.exp(-1j * gamma * flips), np.exp(-1j * gamma * steps)
+        if first:  # every qubit from PHASE_BLOCK on is above the lowest block
+            flips *= -1j
         for k in range(PHASE_BLOCK, model.n):
             _double(out, k, flips[k], steps[k], np.multiply)
     return out
@@ -231,55 +211,63 @@ def _phase(model, diag, gamma, out, scale=None):
 # A phase that overflows comes out NaN, which every optimizer refuses as a failed
 # evaluation; numpy's warning about it would only add noise to stderr.
 @np.errstate(over="ignore", invalid="ignore")
-def _evolve(model, diag, angles, threads):
+def _evolve(model, diag, angles):
+    """The amplitudes after every layer, in the rotated frame D^-1 psi."""
     dim = 1 << model.n
     p = angles.size // 2
     amps = np.empty(dim, dtype=np.complex128)
     spare = np.empty_like(amps)  # every layer reuses these two buffers
-    widths = _block_widths(model.n)
-    threads = threads if model.n >= SPLIT_QUBITS else 1
+    low, *high = _block_widths(model.n)
+    rows = min(dim >> low, _SERIAL_MATMUL >> 2 * low)
     # gamma and beta are np.float64 scalars, the type -1j * gamma and the mixer
     # cache key were pinned with
     for layer, (gamma, beta) in enumerate(zip(angles[:p], angles[p:])):
-        if layer == 0:  # the initial state |+>^n is 1/sqrt(dim) everywhere
-            _phase(model, diag, gamma, amps, scale=1.0 / np.sqrt(dim))
+        if layer == 0:
+            _phase(model, diag, gamma, amps, first=True)
         else:
             amps *= _phase(model, diag, gamma, spare)
-        for w in widths:
-            # spare = mixer @ amps.reshape(-1, 2^w).T moves this block (the low
-            # w bits) to the top bits, so after all blocks every qubit is
-            # back in place.  It is computed as a stack of products over
-            # `cols` columns each, small enough for one thread; every entry
-            # gets the same bits as from one product.
-            cols = min(dim >> w, _SERIAL_MATMUL >> 2 * w)
-            block = _mixer_block(w, beta)
-            src = amps.reshape(-1, cols, 1 << w).transpose(0, 2, 1)
-            dst = spare.reshape(1 << w, -1, cols).transpose(1, 0, 2)
-            if threads > 1:
-                _split_matmul(block, src, dst, threads)
-            else:
-                np.matmul(block, src, out=dst)
+        # the lowest block's bits are the last axis: each row of amplitudes is
+        # times the block, which is symmetric.  Taken as block.T, a circuit of
+        # one block (one row) is the BLAS matrix-vector product of block @
+        # column, so its bits are those of an unrotated complex mixer
+        shape = (-1, rows, 1 << low)
+        np.matmul(amps.reshape(shape), _mixer_block(low, beta)[0].T, out=spare.reshape(shape))
+        amps, spare = spare, amps
+        below = low
+        for w in high:
+            # bits [below, below + w) are the rows of the real block's product;
+            # the lower bits with re/im, 2^(below + 1) floats, are its columns,
+            # cut into a stack of products small enough for one thread
+            cols = min(2 << below, _SERIAL_MATMUL >> 2 * w)
+            shape = (-1, 1 << w, (2 << below) // cols, cols)
+            src = amps.view(np.float64).reshape(shape).transpose(0, 2, 1, 3)
+            dst = spare.view(np.float64).reshape(shape).transpose(0, 2, 1, 3)
+            np.matmul(_mixer_block(w, beta)[1], src, out=dst)
             amps, spare = spare, amps
+            below += w
     return amps
 
 
-def qaoa_state(model, angles, threads=1):
+def qaoa_state(model, angles):
     """Amplitudes after the p phase/mixer layers of ``angles`` on |+>^n: a
-    complex array of length 2^n (bit k of the index = qubit k).  From
-    SPLIT_QUBITS qubits on, ``threads`` threads share the mixer's products;
-    the bits do not depend on it.  ValueError unless it is an integer >= 1."""
+    complex array of length 2^n (bit k of the index = qubit k)."""
     angles = _angle_vector(angles)
-    check_count("threads", threads)
-    return _evolve(model, _model_diagonal(model), angles, threads)
+    amps = _evolve(model, _model_diagonal(model), angles)
+    # leave the rotated frame: times i^popcount of the qubits above the lowest
+    # block, PHASE_BLOCK qubits at a time
+    for below in range(_block_widths(model.n)[0], model.n, PHASE_BLOCK):
+        bits = min(PHASE_BLOCK, model.n - below)
+        view = amps.reshape(-1, 1 << bits, 1 << below)
+        np.multiply(view, _I_POWERS[_popcounts(bits) % 4, None], out=view)
+    return amps
 
 
-def expectation(model, angles, threads=1):
-    """Exact <H_C> in the variational state (no shot noise); ``threads`` as
-    for qaoa_state."""
+def expectation(model, angles):
+    """Exact <H_C> in the variational state (no shot noise)."""
     angles = _angle_vector(angles)
-    check_count("threads", threads)
     diag = _model_diagonal(model)
-    amps = _evolve(model, diag, angles, threads)
+    # the rotated frame has the state's probabilities
+    amps = _evolve(model, diag, angles)
     probs = amps.real**2 + amps.imag**2
     # not probs @ diag: OpenBLAS splits a long dot product across threads,
     # which makes its roundoff depend on the thread count

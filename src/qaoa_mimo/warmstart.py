@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayesopt import SquaredExponentialKernel, bayes_opt
+from .bayesopt import DEFAULT_KAPPA, SquaredExponentialKernel, bayes_opt
 from .ising import build_ising
 from .jsonio import SCHEMA_VERSION, dumps, float_array, read_fields, strict_int
 from .simulator import expectation
@@ -64,7 +64,7 @@ def train_init(
     instances,
     p,
     t_rounds,
-    kappa=2.0,
+    kappa=DEFAULT_KAPPA,
     seed=0,
     n_init=DEFAULT_TRAIN_N_INIT,
     bounds=None,

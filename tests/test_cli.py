@@ -2,6 +2,7 @@ import argparse
 import ast
 import dataclasses
 import glob
+import inspect
 import json
 import os
 import re
@@ -11,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from qaoa_mimo import cli
+from qaoa_mimo import cli, localopt
 from qaoa_mimo.instances import (
     ChannelInstance,
     brute_force_detect,
@@ -19,8 +20,7 @@ from qaoa_mimo.instances import (
     read_instances,
     write_instances,
 )
-from qaoa_mimo.simulator import SPLIT_QUBITS
-from qaoa_mimo.warmstart import angle_bounds
+from qaoa_mimo.warmstart import angle_bounds, train_init
 
 
 def write_config(tmp_path, name, **fields):
@@ -683,6 +683,26 @@ class TestDetect:
         assert capsys.readouterr().err == f"config error: unknown config key {key!r}{hint}\n"
         assert not out.exists()
 
+    # a key that a mode hands to a library function defaults as that function does
+    @pytest.mark.parametrize("mode, functions", [
+        ("gen-instances", [generate_instance]),
+        ("train-init", [train_init, angle_bounds]),
+        ("detect", [localopt.minimize, angle_bounds]),
+        ("compare", [localopt.minimize, angle_bounds]),
+    ])
+    def test_defaults_are_the_librarys(self, mode, functions):
+        keys = cli.KEYS[mode]
+        shared = {
+            name: (keys[name].default, param.default)
+            for function in functions
+            for name, param in inspect.signature(function).parameters.items()
+            if name in keys and keys[name].default is not cli.REQUIRED
+            and param.default is not inspect.Parameter.empty
+        }
+        assert all(key == library for key, library in shared.values()), shared
+        expected = {"gen-instances": set(), "train-init": {"kappa", "n_init", "gamma_max", "beta_max"}}
+        assert set(shared) == expected.get(mode, {"budget", "tol", "gamma_max", "beta_max"})
+
     def test_non_finite_objective_writes_error_rows(self, tmp_path):
         config = write_overflowing_config(tmp_path, budget=10)
         out = tmp_path / "reports.jsonl"
@@ -772,7 +792,7 @@ class TestCompare:
         methods = (cli.TRAINED_INIT, cli.RANDOM_INIT)
         bounds = angle_bounds(2)
         settings = argparse.Namespace(methods=methods, bounds=bounds, budget=20, tol=1e-6,
-                                      top_k=4, threads=1)
+                                      top_k=4)
         starts = (bounds.mean(axis=1), bounds[:, 0] + 0.25 * (bounds[:, 1] - bounds[:, 0]))
         runs = cli._detect_instance(generate_instance(3, 3, 1.0, seed=8), starts, settings)
         assert [report["method"] for report, _ in runs] == list(methods)
@@ -839,34 +859,11 @@ class TestCompare:
         errors = [b'"error"' in line for line in files["det.jsonl"].splitlines()]
         assert any(errors) and not all(errors)
 
-    # a serial run (one instance or one CPU) gets every CPU of the affinity mask
-    @pytest.mark.parametrize("cpus, count, threads", [
-        (4, 2, 2), (3, 2, 1), (2, 3, 1), (4, 1, 4), (1, 3, 1),
-    ])
-    def test_workers_split_the_cpu_budget(self, tmp_path, monkeypatch, cpus, count, threads):
-        config = self.setup_run(tmp_path, count=count, n_t=2)
-        log = tmp_path / "threads.log"
-        original = {name: getattr(cli, name) for name in ("simulator_expectation", "qaoa_state")}
-
-        def logged(name):  # forked workers inherit these, and log their own share
-            def call(model, angles, threads):
-                with open(log, "a") as fh:
-                    fh.write(f"{name} {threads}\n")
-                return original[name](model, angles, threads)
-
-            return call
-
-        for name in original:
-            monkeypatch.setattr(cli, name, logged(name))
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        assert cli.main(["compare", "--config", config, "--out", str(tmp_path / "cmp")]) == 0
-        lines = log.read_text().splitlines()
-        assert set(lines) == {f"{name} {threads}" for name in original}
-
-    def test_split_mixer_gives_the_bytes_of_one_cpu(self, tmp_path, monkeypatch):
+    # one CPU runs both instances in this process, two or three CPUs one per worker
+    def test_detect_gives_the_bytes_of_one_cpu(self, tmp_path, monkeypatch):
         instances = tmp_path / "inst.jsonl"
         cli.main(["gen-instances", "--config", write_config(
-            tmp_path, "g.json", count=1, n_t=SPLIT_QUBITS, seed=17), "--out", str(instances)])
+            tmp_path, "g.json", count=2, n_t=14, seed=17), "--out", str(instances)])
         config = write_config(tmp_path, "d.json", instances=str(instances), p=2, budget=4,
                               seed=18)
         reports = {}
@@ -960,9 +957,9 @@ class TestSelftestAndErrors:
         assert len(read_jsonl(out)) == 1
 
     def test_small_serial_runs_leave_thread_pools_unloaded(self, tmp_path):
-        # below SPLIT_QUBITS the mixer starts no helper threads, and one instance no workers
+        # the mixer starts no threads at any size, and one instance no workers
         instances = str(tmp_path / "inst.jsonl")
-        gen = write_config(tmp_path, "g.json", count=1, n_t=SPLIT_QUBITS - 1, seed=1)
+        gen = write_config(tmp_path, "g.json", count=1, n_t=18, seed=1)
         detect = write_config(tmp_path, "d.json", instances=instances, p=1, budget=3, seed=4)
         out = str(tmp_path / "reports.jsonl")
         code = (

@@ -1,11 +1,9 @@
 import dataclasses
 import functools
-import hashlib
 import os
-import select
-import signal
 import subprocess
 import sys
+import textwrap
 import threading
 import tracemalloc
 
@@ -23,7 +21,7 @@ from qaoa_mimo.simulator import (
     MIXER_BLOCK,
     MIXER_CACHE,
     PHASE_BLOCK,
-    SPLIT_QUBITS,
+    _SIGNS,
     expectation,
     _built_mixer_block,
     _mixer_block,
@@ -43,6 +41,10 @@ def field_only_model(fields):
         matched=-0.5 * fields,
         offset=0.0,
     )
+
+
+def popcounts(size):
+    return np.array([bin(m).count("1") for m in range(size)])
 
 
 def random_angles(gen, p):
@@ -93,18 +95,21 @@ class TestAngleVector:
             simulate(field_only_model(np.ones(21)), angles)  # not ResourceLimitError
         assert diagonal_builds == [] and model.diagonal is None
 
+    # the simulator takes no thread count: one that a caller still passes is
+    # refused before any diagonal is built or any thread started
     @pytest.mark.parametrize("threads", [2.5, "2", True, 0, -3, None])
     @pytest.mark.parametrize("simulate", [expectation, qaoa_state])
     def test_threads_refused_before_any_diagonal_or_pool(self, simulate, threads,
                                                           diagonal_builds):
-        simulator._helper_pool.cache_clear()
-        model = build_ising(generate_instance(SPLIT_QUBITS, SPLIT_QUBITS, 1.0, seed=1))
-        with pytest.raises(ValueError, match="threads must be an integer >= 1"):
-            simulate(model, [0.1, 0.2], threads)
-        with pytest.raises(ValueError, match="threads must be an integer >= 1"):
-            simulate(field_only_model(np.ones(21)), [0.1, 0.2], threads)
+        model = build_ising(generate_instance(5, 5, 1.0, seed=5))
+        started = set(threading.enumerate())
+        for target in (model, field_only_model(np.ones(21))):
+            with pytest.raises(TypeError):
+                simulate(target, [0.1, 0.2], threads)
+            with pytest.raises(TypeError):
+                simulate(target, [0.1, 0.2], threads=threads)
         assert diagonal_builds == [] and model.diagonal is None
-        assert simulator._helper_pool.cache_info().currsize == 0
+        assert set(threading.enumerate()) <= started
 
     def test_list_gives_the_bits_of_an_array(self):
         model = build_ising(generate_instance(4, 4, 1.0, seed=4))
@@ -204,8 +209,10 @@ class TestBlockedMixer:
     AMPLITUDE_ATOL = 1e-13
     EXPECTATION_RTOL = 1e-12
 
-    # covers n = MIXER_BLOCK, MIXER_BLOCK + 1 and 2 * MIXER_BLOCK + 1
-    @pytest.mark.parametrize("n", range(1, max(15, 2 * MIXER_BLOCK + 2)))
+    # covers n = MIXER_BLOCK, MIXER_BLOCK + 1 and 2 * MIXER_BLOCK + 1, the
+    # lowest block narrower than the others (n = 4, 5 and 7) and the lowest
+    # block's rows cut into a stack (n = 16)
+    @pytest.mark.parametrize("n", [*range(1, max(15, 2 * MIXER_BLOCK + 2)), 16])
     def test_matches_single_qubit_sweeps(self, n):
         gen = np.random.default_rng(200 + n)
         model = build_ising(generate_instance(n, n, 1.0, seed=n))
@@ -239,21 +246,37 @@ class TestBlockedMixer:
         }
         assert len(outputs) == 1
 
-    @pytest.mark.parametrize("w", range(1, MIXER_BLOCK + 1))
+    # the mixer on w qubits: one complex block up to MIXER_BLOCK qubits, above
+    # it the lowest block complex and the others real, taken out of the
+    # rotated frame D = diag(i^popcount(m >> w0))
+    @pytest.mark.parametrize("w", range(1, 2 * MIXER_BLOCK))
     def test_block_unitary_is_kron_of_rx(self, w):
+        low, *high = simulator._block_widths(w)
+        frame = np.repeat(np.array([1, 1j, -1, -1j])[popcounts(1 << w - low) % 4], 1 << low)
         for beta in (0.0, 0.3, -1.1, np.pi / 2, 2.9):
             rx = np.array(
                 [[np.cos(beta), -1j * np.sin(beta)], [-1j * np.sin(beta), np.cos(beta)]]
             )
             expected = functools.reduce(np.kron, [rx] * w)
-            assert np.allclose(_mixer_block(w, beta), expected, rtol=0, atol=1e-15)
+            # np.kron's left factor acts on the high bits
+            blocks = [_mixer_block(v, beta)[1] for v in reversed(high)]
+            mixer = functools.reduce(np.kron, [*blocks, _mixer_block(low, beta)[0]])
+            mixer = frame[:, None] * mixer * frame.conj()
+            assert np.allclose(mixer, expected, rtol=0, atol=1e-15)
 
 
 def fresh_mixer_block(w, beta):
-    """The block as built before blocks were cached, for every call."""
+    """The complex block as built before blocks were cached, for every call."""
     d = np.arange(w + 1)
     factors = np.cos(beta) ** (w - d) * np.sin(beta) ** d * _FLIP_PHASE[: w + 1]
     return factors[_FLIPS[: 1 << w, : 1 << w]]
+
+
+def fresh_real_block(w, beta):
+    """The real block in the rotated frame, for every call."""
+    d = np.arange(w + 1)
+    magnitudes = np.cos(beta) ** (w - d) * np.sin(beta) ** d
+    return magnitudes[_FLIPS[: 1 << w, : 1 << w]] * _SIGNS[: 1 << w, : 1 << w]
 
 
 class TestMixerCache:
@@ -261,19 +284,21 @@ class TestMixerCache:
     BETAS = (0.0, -0.0, np.pi, np.nextafter(np.pi, 4.0))
 
     def test_cached_block_is_read_only(self):
-        block = _mixer_block(3, 0.7)
-        assert not block.flags.writeable
-        with pytest.raises(ValueError):
-            block[0, 0] = 0.0
-        assert _mixer_block(3, 0.7) is block
+        blocks = _mixer_block(3, 0.7)
+        for block in blocks:
+            assert not block.flags.writeable
+            with pytest.raises(ValueError):
+                block[0, 0] = 0.0
+        assert _mixer_block(3, 0.7) is blocks
 
     def test_cached_blocks_equal_fresh_builds(self):
         _built_mixer_block.cache_clear()
         # a list, not a dict: a dict keyed on beta would merge 0.0 and -0.0 itself
         cached = [(w, beta, _mixer_block(w, beta))
                   for w in range(1, MIXER_BLOCK + 1) for beta in self.BETAS]
-        for w, beta, block in cached:
+        for w, beta, (block, real) in cached:
             assert block.tobytes() == fresh_mixer_block(w, beta).tobytes(), (w, beta)
+            assert real.tobytes() == fresh_real_block(w, beta).tobytes(), (w, beta)
         # each pair of betas has a width whose fresh blocks differ, so a key
         # that merged them would have handed one the other's block above
         for a, b in zip(self.BETAS[::2], self.BETAS[1::2]):
@@ -301,18 +326,18 @@ class TestSerialMixer:
     @pytest.mark.parametrize("n", [1, 4, 6, 11, 16, 17, 18])
     def test_every_product_stays_on_one_thread(self, n, matmul_products):
         model = build_ising(generate_instance(n, n, 1.0, seed=n))
-        for threads in (1, 2):
-            products = matmul_products(simulator)
-            expectation(model, [0.1, 0.2, 0.9, 0.5], threads)
-            # one np.matmul per block and layer, or one per chunk of a split stack
-            calls = 0
-            for w in simulator._block_widths(n):
-                cols = min(1 << n - w, simulator._SERIAL_MATMUL >> 2 * w)
-                stack = (1 << n) // ((1 << w) * cols)
-                split = threads > 1 and n >= SPLIT_QUBITS
-                calls += -(-stack // simulator._CHUNK) if split else 1
-            assert len(products) == 2 * calls
-            assert max(products) <= simulator._SERIAL_MATMUL
+        products = matmul_products(simulator)
+        expectation(model, [0.1, 0.2, 0.9, 0.5])
+        # one np.matmul per block and layer: the lowest block's complex products
+        # of `rows` amplitudes, then each real block's products of `cols` floats
+        low, *high = simulator._block_widths(n)
+        layer = [min(1 << n - low, simulator._SERIAL_MATMUL >> 2 * low) << 2 * low]
+        below = low
+        for w in high:
+            layer.append(min(2 << below, simulator._SERIAL_MATMUL >> 2 * w) << 2 * w)
+            below += w
+        assert products == 2 * layer
+        assert max(products) <= simulator._SERIAL_MATMUL
 
     @pytest.mark.parametrize("n", [5, 11, 16])
     def test_stacked_products_give_the_bits_of_one_product(self, n, monkeypatch):
@@ -323,126 +348,125 @@ class TestSerialMixer:
         assert np.array_equal(stacked, qaoa_state(model, angles))
 
 
+# Runs one evaluation in a fresh interpreter, whose OpenBLAS starts with the
+# thread count of its environment; `chunk` products a np.matmul call, or the
+# whole stack if None.  Prints the state's sha256 and the expectation's bytes.
+SPLIT_RUN = textwrap.dedent("""
+    import hashlib, sys
+    sys.path.insert(0, {src!r})
+    import numpy as np
+    from qaoa_mimo import simulator
+    from qaoa_mimo.instances import generate_instance
+    from qaoa_mimo.ising import build_ising
+
+    class ChunkedNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def matmul(self, a, b, out):
+            # cut the stack axis next to each product's rows and columns
+            for outer in np.ndindex(out.shape[:-3]):
+                for start in range(0, out.shape[-3], {chunk}):
+                    part = (*outer, slice(start, start + {chunk}))
+                    np.matmul(a[part] if a.ndim > 2 else a, b[part] if b.ndim > 2 else b,
+                              out=out[part])
+            return out
+
+    if {chunk} is not None:
+        simulator.np = ChunkedNumpy()
+    model = build_ising(generate_instance({n}, {n}, 1.0, seed={n}))
+    state = simulator.qaoa_state(model, {angles!r})
+    value = simulator.expectation(model, {angles!r})
+    print(hashlib.sha256(state.tobytes()).hexdigest(), np.float64(value).tobytes().hex())
+""")
+
+
+@functools.lru_cache(maxsize=None)
+def split_run(n, chunk, threads):
+    src = os.path.dirname(os.path.dirname(qaoa_mimo.__file__))
+    code = SPLIT_RUN.format(src=src, n=n, chunk=chunk, angles=TestSplitMixer.ANGLES)
+    return subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, OPENBLAS_NUM_THREADS=str(threads)),
+        capture_output=True, text=True, timeout=120, check=True,
+    ).stdout
+
+
 class TestSplitMixer:
+    """The mixer split into blocks, and each block's product into a stack of
+    products small enough for OpenBLAS to run on the calling thread."""
+
     ANGLES = [0.1, 0.2, 0.3, 0.9, 0.5, 0.2]
 
-    @pytest.fixture
-    def own_helpers(self):
-        """A fresh helper pool for the test; dropped after it, which ends its threads."""
-        simulator._helper_pool.cache_clear()
-        yield
-        simulator._helper_pool.cache_clear()
-        for thread in threading.enumerate():
-            if thread.name.startswith("qaoa-mixer"):
-                thread.join(60)
-                assert not thread.is_alive()
-
-    @staticmethod
-    def run(model, angles, threads):
-        state = qaoa_state(model, angles, threads)
-        return state.tobytes(), np.float64(expectation(model, angles, threads)).tobytes()
-
-    # the bits depend neither on the thread count nor on how many products a
-    # thread claims at a time (_CHUNK, 16 by default)
+    # the bits depend neither on OpenBLAS's thread count nor on how the stack
+    # of products is cut into np.matmul calls
     @pytest.mark.parametrize("threads", [2, 3])
     @pytest.mark.parametrize("n, chunk", [
-        pytest.param(n, chunk, id=str(n) if chunk == 16 else f"{n}-chunk{chunk}")
-        for n, chunk in [(17, 1), (17, 5), (17, 16), (17, 64), (18, 16), (20, 16)]
+        pytest.param(n, chunk, id=str(n) if chunk is None else f"{n}-chunk{chunk}")
+        for n, chunk in [(17, 1), (17, 5), (17, None), (17, 64), (18, None), (20, None)]
     ])
-    def test_bits_do_not_depend_on_split_width(self, n, chunk, threads, own_helpers, monkeypatch):
-        monkeypatch.setattr(simulator, "_CHUNK", chunk)
-        model = build_ising(generate_instance(n, n, 1.0, seed=n))
-        assert self.run(model, self.ANGLES, threads) == self.run(model, self.ANGLES, 1)
-        # one pool, started by the first split and shared by every later one
-        info = simulator._helper_pool.cache_info()
-        assert info.misses == 1 and info.hits > 0 and info.currsize == 1
+    def test_bits_do_not_depend_on_split_width(self, n, chunk, threads):
+        serial = split_run(n, None, 1)
+        assert len(serial.split()) == 2
+        assert split_run(n, chunk, threads) == serial
 
-    def test_default_runs_on_the_calling_thread(self, own_helpers):
-        n = SPLIT_QUBITS
+    def test_default_runs_on_the_calling_thread(self, monkeypatch):
+        n = 17
         model = build_ising(generate_instance(n, n, 1.0, seed=n))
+        callers = set()
+
+        class ThreadNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def matmul(self, *args, **kwargs):
+                callers.add(threading.get_ident())
+                return np.matmul(*args, **kwargs)
+
+        started = set(threading.enumerate())
+        monkeypatch.setattr(simulator, "np", ThreadNumpy())
         expectation(model, self.ANGLES)
         qaoa_state(model, self.ANGLES)
-        assert simulator._helper_pool.cache_info().misses == 0
+        assert callers == {threading.get_ident()}
+        assert set(threading.enumerate()) <= started
 
-    def test_a_wider_split_later_gets_every_helper(self, own_helpers, monkeypatch):
-        from concurrent.futures import ThreadPoolExecutor
 
-        n = SPLIT_QUBITS
+class TestRotatedFrame:
+    ANGLES = [0.1, 0.2, 0.3, 0.9, 0.5, 0.2]
+
+    # the frame D = diag(i^popcount) turns the real block into the complex one,
+    # with not even a rounding between them
+    @pytest.mark.parametrize("w", range(1, MIXER_BLOCK + 1))
+    def test_real_block_is_the_complex_block_in_the_frame(self, w):
+        frame = np.array([1, 1j, -1, -1j])[popcounts(1 << w) % 4]
+        for beta in (0.0, -0.0, np.pi / 2, 1e-300, *np.random.default_rng(w).uniform(-4, 4, 5)):
+            block, real = _mixer_block(w, beta)
+            assert real.dtype == np.float64
+            assert np.array_equal(frame[:, None] * real * frame.conj(), block), beta
+
+    # expectation stays in the frame; the state qaoa_state returns has left it,
+    # and both have the same probabilities
+    @pytest.mark.parametrize("n", [4, 6, 11, 18])
+    def test_expectation_is_the_energy_of_the_returned_state(self, n):
         model = build_ising(generate_instance(n, n, 1.0, seed=n))
-        expectation(model, self.ANGLES, 2)
-        splits, submits = [], []
-        split_matmul, submit = simulator._split_matmul, ThreadPoolExecutor.submit
+        amps = qaoa_state(model, self.ANGLES)
+        value = float(np.sum((amps.real**2 + amps.imag**2) * model.diagonal))
+        assert np.float64(expectation(model, self.ANGLES)).tobytes() == np.float64(value).tobytes()
+        # np.abs rounds |amplitude| first; the energies cancel, so the scale is max |diag|
+        scale = np.max(np.abs(model.diagonal))
+        assert abs(value - np.sum(np.abs(amps) ** 2 * model.diagonal)) <= 1e-14 * scale
 
-        def counted_split(block, src, dst, threads):
-            splits.append(threads)
-            return split_matmul(block, src, dst, threads)
-
-        def counted_submit(pool, *args):
-            submits.append(pool)
-            return submit(pool, *args)
-
-        monkeypatch.setattr(simulator, "_split_matmul", counted_split)
-        monkeypatch.setattr(ThreadPoolExecutor, "submit", counted_submit)
-        expectation(model, self.ANGLES, 3)
-        assert splits and set(splits) == {3} and len(submits) == 2 * len(splits)
-
-    @pytest.mark.parametrize("n", [17, 18, 20])
-    def test_caller_does_every_chunk_while_the_helper_is_held_back(self, n, own_helpers):
+    def test_state_peaks_below_three_statevectors(self):
+        # leaving the frame keeps no table of 2^n phases
+        n = 18
         model = build_ising(generate_instance(n, n, 1.0, seed=n))
-        serial = self.run(model, self.ANGLES, 1)
-        gate = threading.Event()
-        held = simulator._helper_pool(os.getpid(), 1).submit(gate.wait, 60)
+        qaoa_state(model, self.ANGLES)  # builds and keeps the diagonal
+        tracemalloc.start()
         try:
-            split = self.run(model, self.ANGLES, 2)
-            # the helper tasks still queued behind the held one keep no statevector alive
-            tracemalloc.start()
-            try:
-                expectation(model, self.ANGLES, 2)
-                kept = tracemalloc.get_traced_memory()[0]
-            finally:
-                tracemalloc.stop()
-            # the helper was busy all along: waiting for it would have taken 60 s
-            assert not held.done()
+            qaoa_state(model, self.ANGLES)
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
-            gate.set()
-        assert split == serial
-        assert kept < 16 * (1 << n)
-
-    def test_overflowing_angles_come_out_nan_on_every_thread(self, own_helpers):
-        n = SPLIT_QUBITS
-        model = build_ising(generate_instance(n, n, 1.0, seed=n))
-        for angles in ([1e308, 0.3], [0.2, np.inf], [np.nan, 0.1, 0.2, 0.3]):
-            assert np.isnan(expectation(model, angles, 2))
-
-    def test_forked_child_starts_its_own_helpers(self, own_helpers):
-        n = SPLIT_QUBITS
-        model = build_ising(generate_instance(n, n, 1.0, seed=n))
-        parent = self.run(model, self.ANGLES, 2)
-        assert simulator._helper_pool.cache_info().misses == 1
-        inherited = simulator._helper_pool(os.getpid(), 1)
-        read, write = os.pipe()
-        pid = os.fork()
-        if pid == 0:  # the child reports, then leaves without running pytest's exit
-            try:
-                state, value = self.run(model, self.ANGLES, 2)
-                # the child's splits started a pool of their own, which this lookup finds
-                hits = simulator._helper_pool.cache_info().hits
-                own = simulator._helper_pool(os.getpid(), 1)
-                fresh = own is not inherited and simulator._helper_pool.cache_info().hits > hits
-                os.write(write, bytes([fresh]) + hashlib.sha256(state).digest() + value)
-            finally:
-                os._exit(0)
-        os.close(write)
-        try:
-            ready, _, _ = select.select([read], [], [], 60)
-            if not ready:
-                os.kill(pid, signal.SIGKILL)
-            assert ready, "the child's split evaluation did not finish in 60 s"
-            report = os.read(read, 64)
-        finally:
-            os.close(read)
-            os.waitpid(pid, 0)
-        assert report == b"\x01" + hashlib.sha256(parent[0]).digest() + parent[1]
+            tracemalloc.stop()
+        assert peak <= 2.75 * 16 * (1 << n)
 
 
 class TestPhase:
@@ -463,13 +487,16 @@ class TestPhase:
                 tol = 4 * n * np.finfo(float).eps * max(1.0, abs(gamma) * np.max(np.abs(diag)))
                 assert np.max(np.abs(got - ref)) <= tol
 
+    # the first layer is |+>^n times the phase, in the rotated frame: times
+    # (-i)^popcount(m >> w0), which is 1 everywhere at n <= MIXER_BLOCK
     @pytest.mark.parametrize("n", [3, PHASE_BLOCK])
     def test_scaled_first_layer_is_uniform_state_times_phase(self, n):
         model = build_ising(generate_instance(n, n, 1.0, seed=n))
         diag = hamiltonian_diagonal(model)
         dim = 1 << n
-        got = _phase(model, diag, 0.3, np.empty(dim, dtype=np.complex128), scale=1 / np.sqrt(dim))
-        ref = np.full(dim, 1 / np.sqrt(dim), dtype=np.complex128) * np.exp(-0.3j * diag)
+        got = _phase(model, diag, 0.3, np.empty(dim, dtype=np.complex128), first=True)
+        frame = np.array([1, -1j, -1, 1j])[popcounts(dim >> simulator._block_widths(n)[0]) % 4]
+        ref = np.repeat(frame, dim // frame.size) / np.sqrt(dim) * np.exp(-0.3j * diag)
         assert np.array_equal(got, ref)
 
     def test_cached_expectation_peaks_below_three_statevectors(self):
@@ -486,14 +513,15 @@ class TestPhase:
         assert peak <= 2.75 * 16 * (1 << n)
 
     def test_split_expectation_peaks_below_three_statevectors(self):
-        # the threads that share the mixer's products allocate no buffer
+        # the real blocks' products, split into a stack of float64 views of the
+        # complex state, allocate no buffer
         n = 18
         model = build_ising(generate_instance(n, n, 1.0, seed=n))
         angles = [0.1, 0.2, 0.3, 0.9, 0.5, 0.2]
-        expectation(model, angles, 2)  # builds and keeps the diagonal, starts the helper
+        expectation(model, angles)  # builds and keeps the diagonal
         tracemalloc.start()
         try:
-            expectation(model, angles, 2)
+            expectation(model, angles)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -546,6 +574,14 @@ class TestExpectation:
             diag = hamiltonian_diagonal(model)
             value = expectation(model, random_angles(gen, 3))
             assert diag.min() - 1e-9 <= value <= diag.max() + 1e-9
+
+    # below and above PHASE_BLOCK, and in and out of the rotated frame
+    @pytest.mark.parametrize("n", [3, 17])
+    def test_overflowing_angles_come_out_nan(self, n):
+        model = build_ising(generate_instance(n, n, 1.0, seed=n))
+        for angles in ([1e308, 0.3], [0.2, np.inf], [np.nan, 0.1, 0.2, 0.3]):
+            assert np.isnan(expectation(model, angles))
+            assert np.isnan(qaoa_state(model, angles)).all()
 
 
 class TestSuccessProbability:
